@@ -335,8 +335,9 @@ class CorrectorRole:
                      for s in starts]
             ref_par = self._ask(endpoint, items)
             own = np.bitwise_xor.reduceat(key_chunk[perm], starts)
-            passes_info[pass_id] = {"perm": perm, "inv": np.argsort(perm),
-                                    "k": k}
+            inv = np.empty_like(perm)
+            inv[perm] = np.arange(m)
+            passes_info[pass_id] = {"perm": perm, "inv": inv, "k": k}
             diff_sets[pass_id] = {i for i in range(len(starts))
                                   if int(own[i]) != ref_par[i]}
 

@@ -143,6 +143,63 @@ def count_irreducible_degree2() -> int:
 
 
 # ---------------------------------------------------------------------------
+# Per-pulse link simulation, the reference for the click-only sampler
+
+
+def slow_simulate_kgp(n_pulses: int, cfg, model, seed: int):
+    """Sample every pulse: intensity, both bases, bit, click and error.
+
+    Same shards and substreams as qdsnet.channel.simulate_kgp, but six
+    per-pulse draws for every pulse, so its tallies follow the physical
+    model directly.  Returns a SiftedBatch.
+    """
+    from qdsnet.channel import (SHARD_PULSES, SiftedBatch,
+                                click_probability, error_probability)
+    from qdsnet.finitekey import DetectionTally
+    p_click = {"mu": click_probability(cfg.mu, model),
+               "nu": click_probability(cfg.nu, model)}
+    p_err = {"mu": error_probability(cfg.mu, model),
+             "nu": error_probability(cfg.nu, model)}
+    counts = dict.fromkeys(("n_z_mu", "n_z_nu", "m_z_mu", "m_z_nu",
+                            "n_x_mu", "n_x_nu", "m_x_mu", "m_x_nu"), 0)
+    sender_chunks = [np.zeros(0, dtype=np.uint8)]
+    alice_chunks = [np.zeros(0, dtype=np.uint8)]
+    n_shards = (n_pulses + SHARD_PULSES - 1) // SHARD_PULSES
+    for shard in range(n_shards):
+        n = min(SHARD_PULSES, n_pulses - shard * SHARD_PULSES)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(shard,)))
+        is_mu = rng.random(n) < cfg.p_mu
+        sender_z = rng.random(n) < cfg.p_z
+        receiver_z = rng.random(n) < cfg.p_z
+        sender_bit = rng.integers(0, 2, size=n, dtype=np.uint8)
+        u_click = rng.random(n)
+        u_err = rng.random(n)
+
+        clicked = np.where(is_mu, u_click < p_click["mu"],
+                           u_click < p_click["nu"])
+        erred = np.where(is_mu, u_err < p_err["mu"], u_err < p_err["nu"])
+        matched = sender_z == receiver_z
+        kept_z = clicked & matched & sender_z
+        kept_x = clicked & matched & ~sender_z
+
+        for inten, sel in (("mu", is_mu), ("nu", ~is_mu)):
+            counts[f"n_z_{inten}"] += int(np.count_nonzero(kept_z & sel))
+            counts[f"m_z_{inten}"] += int(np.count_nonzero(kept_z & sel & erred))
+            counts[f"n_x_{inten}"] += int(np.count_nonzero(kept_x & sel))
+            counts[f"m_x_{inten}"] += int(np.count_nonzero(kept_x & sel & erred))
+        sender_chunks.append(sender_bit[kept_z])
+        alice_chunks.append(sender_bit[kept_z] ^ erred[kept_z])
+
+    tally = DetectionTally(n_z_total=counts["n_z_mu"] + counts["n_z_nu"],
+                           accumulation_time_s=n_pulses / model.pulse_rate_hz,
+                           **counts)
+    return SiftedBatch(tally=tally, alice_bits=np.concatenate(alice_chunks),
+                       sender_bits=np.concatenate(sender_chunks),
+                       rng_seed=seed)
+
+
+# ---------------------------------------------------------------------------
 # Batched degree-2 division hash (for the exhaustive perturbation sweep)
 
 

@@ -4,6 +4,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
 
+from qdsnet import table2
 from qdsnet.finitekey import Conventions, signature_rate
 from qdsnet.table2 import (PRECISION_INPUTS, admissible_points,
                            format_report, input_witness, load_rows,
@@ -193,3 +194,35 @@ def test_witness_absent_when_cells_are_out_of_reach():
     assert not out["checks"]["signature_rate_tps"]["pass"]
     assert not out["flags"]
     assert input_witness(row) is None
+
+
+def test_alternatives_reuse_the_judged_verdicts(monkeypatch):
+    calls = []
+
+    def counting_row(row, conv=Conventions()):
+        res = reproduce_row(row, conv)
+        calls.append(conv)
+        if len(calls) == 1:
+            res["row_pass"] = False     # force the alternatives summary
+        return res
+
+    monkeypatch.setattr(table2, "reproduce_row", counting_row)
+    monkeypatch.setattr(table2, "input_witness", lambda *a, **k: None)
+    result = reproduce_table()
+    # 8 rows judged, then 8 for each of the three other conventions
+    assert len(calls) == 32
+    assert Conventions() not in calls[8:]
+    judged = next(a for a in result["alternatives_evaluated"]
+                  if (a["log_base"], a["vacuum_upper_intensity"]) == ("e", "nu"))
+    assert judged["failures"][0] == _name(load_rows()[0])
+
+
+def test_alternatives_match_a_direct_evaluation():
+    rows = load_rows()
+    for alt in reproduce_table()["alternatives_evaluated"]:
+        conv = Conventions(log_base=alt["log_base"],
+                           vacuum_upper_intensity=alt["vacuum_upper_intensity"])
+        failed = [_name(r) for r in rows
+                  if not reproduce_row(r, conv)["row_pass"]]
+        assert alt["failures"] == failed
+        assert alt["rows_failed"] == len(failed)
