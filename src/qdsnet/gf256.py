@@ -8,7 +8,8 @@ import so that bulk polynomial work reduces to numpy fancy indexing.
 Polynomials over the field are stored highest-order coefficient first.
 They back the message digests: digests are remainders modulo an
 irreducible polynomial, so this module also provides deterministic
-irreducibility testing (Rabin's algorithm with Frobenius squaring).
+irreducibility testing (Rabin's algorithm, with the Frobenius map as a
+matrix over the field).
 """
 
 from __future__ import annotations
@@ -34,7 +35,13 @@ def _build_mul_table() -> np.ndarray:
 
 
 MUL = _build_mul_table()
-SQR = np.ascontiguousarray(MUL.diagonal())
+_MUL_FLAT = MUL.ravel()
+
+# _POWERS[k, a - 1] = a^k for every nonzero a and k = 0 .. 254 (a^255 == 1)
+_POWERS = np.ones((255, 255), dtype=np.intp)
+for _k in range(1, 255):
+    _POWERS[_k] = MUL[np.arange(1, 256), _POWERS[_k - 1]]
+del _k
 
 # inverse table: MUL[a, INV[a]] == 1 for a != 0
 INV = np.zeros(256, dtype=np.uint8)
@@ -161,38 +168,59 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a
 
 
-def _reduction_rows(p: Poly) -> np.ndarray:
-    """rows[j] = coefficients of x^(d+j) mod p, for j = 0 .. d-2."""
-    d = p.degree
-    p_low = p.coeffs[1:].copy()
-    rows = np.zeros((max(d - 1, 1), d), dtype=np.uint8)
-    cur = p_low.copy()
-    rows[0] = cur
-    for j in range(1, d - 1):
-        lead = cur[0]
-        cur = np.concatenate([cur[1:], np.zeros(1, dtype=np.uint8)])
-        if lead:
-            cur ^= MUL[lead, p_low]
-        rows[j] = cur
-    return rows
+def _x_powers(p: Poly, n: int) -> np.ndarray:
+    """rows[j] = x^j mod p for j = 0 .. n-1, as length-d residues
+    (highest-order first).
 
-
-def _sqr_mod(res: np.ndarray, rows_rev: np.ndarray) -> np.ndarray:
-    """Square a length-d residue modulo the p behind rows_rev.
-
-    Squaring in characteristic 2 is coefficient-wise: coefficient c of x^i
-    becomes c^2 at x^(2i).  The high half is folded back with one batched
-    table lookup against the precomputed reduction rows.
+    Each residue is held as one Python integer with a byte per
+    coefficient, so multiplying by x is a shift plus one table entry:
+    x^d == p_low modulo p in characteristic 2, and fold[c] = c * p_low.
     """
-    d = len(res)
-    spread = np.zeros(2 * d - 1, dtype=np.uint8)
-    spread[::2] = SQR[res]
-    out = spread[d - 1:].copy()
-    hi = spread[:d - 1]
-    nz = np.nonzero(hi)[0]
-    if nz.size:
-        out ^= np.bitwise_xor.reduce(MUL[hi[nz][:, None], rows_rev[nz]], axis=0)
-    return out
+    d = p.degree
+    table = MUL[:, p.coeffs[1:]].tobytes()
+    fold = [int.from_bytes(table[i:i + d], "big") for i in range(0, 256 * d, d)]
+    top, mask = 8 * (d - 1), (1 << 8 * d) - 1
+    v, powers = 1, []
+    for _ in range(n):
+        powers.append(v.to_bytes(d, "big"))
+        v = ((v << 8) & mask) ^ fold[v >> top]
+    return np.frombuffer(b"".join(powers), dtype=np.uint8).reshape(n, d)
+
+
+def _apply(images: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The GF(256)-linear map sending basis residue i to images[i] (an
+    np.intp array), applied to v: one lookup of MUL[v[i], images[i]]
+    for all i at once and an XOR reduction."""
+    idx = images + (v.astype(np.intp) << 8)[:, None]
+    return np.bitwise_xor.reduce(_MUL_FLAT.take(idx), axis=0)
+
+
+def _frobenius_images(p: Poly) -> np.ndarray:
+    """images[i] = (x^(d-1-i))^256 mod p, for i = 0 .. d-1, as np.intp.
+
+    v -> v^256 is linear over GF(256) on residues modulo p, since
+    a^256 == a for every field element; with h = x^256 mod p, the image
+    of x^j is h^j.  The powers of h come from the linear map of
+    multiplication by h, whose images are x^j * h = x^(256+j).
+    """
+    d = p.degree
+    times_h = _x_powers(p, 256 + d)[256:][::-1].astype(np.intp)
+    images = np.empty((d, d), dtype=np.intp)
+    images[-1] = 0
+    images[-1, -1] = 1
+    for i in range(d - 2, -1, -1):
+        images[i] = _apply(times_h, images[i + 1])
+    return images
+
+
+def _has_root(p: Poly) -> bool:
+    """True when p(a) == 0 for some field element a: p evaluated at all
+    255 nonzero elements at once, and at zero through its constant."""
+    c = p.coeffs
+    if c[-1] == 0:
+        return True
+    exps = np.arange(p.degree, -1, -1) % 255
+    return not _apply(_POWERS[exps], c).all()
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -214,33 +242,30 @@ def is_irreducible(p: Poly) -> bool:
 
     p must be monic of degree >= 1.  Requires x^(q^d) == x (mod p) with
     q = 256, and gcd(x^(q^(d/r)) - x, p) == 1 for every prime r | d.
+    The powers x^(q^k) come from d applications of the Frobenius matrix.
+    Two cheaper steps come first and give the same verdict: a
+    polynomial of degree >= 2 with a root is reducible (about 63% of
+    candidates), and the gcds, which cost more than the whole power
+    chain, run only once x^(q^d) == x holds.
     """
     if not p.is_monic() or p.degree < 1:
         raise ValueError("irreducibility test needs a monic polynomial of degree >= 1")
     d = p.degree
     if d == 1:
         return True
+    if _has_root(p):
+        return False
 
-    rows = _reduction_rows(p)
-    rows_rev = rows[::-1].copy()
-
-    # residue of x, as a fixed-length-d vector (highest-order first)
-    res = np.zeros(d, dtype=np.uint8)
-    res[d - 2] = 1
-
-    snapshots = sorted({8 * (d // r) for r in _prime_factors(d)})
-    x_vec = res.copy()
-
-    k = 0
-    for target in snapshots:
-        while k < target:
-            res = _sqr_mod(res, rows_rev)
-            k += 1
-        diff = res ^ x_vec
-        g = poly_gcd(Poly(diff), p)
-        if g.degree != 0:
-            return False
-    while k < 8 * d:
-        res = _sqr_mod(res, rows_rev)
-        k += 1
-    return bool(np.all(res == x_vec))
+    frobenius = _frobenius_images(p)
+    x_vec = np.zeros(d, dtype=np.uint8)
+    x_vec[d - 2] = 1
+    checks = {d // r for r in _prime_factors(d)}
+    saved = []
+    res = x_vec
+    for k in range(1, d + 1):
+        res = _apply(frobenius, res)
+        if k in checks:
+            saved.append(res)
+    if not np.array_equal(res, x_vec):
+        return False
+    return all(poly_gcd(Poly(s ^ x_vec), p).degree == 0 for s in saved)

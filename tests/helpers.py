@@ -127,6 +127,34 @@ def slow_irreducible_low_degree(coeffs: list[int]) -> bool:
     return not has_root(c)
 
 
+def slow_poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Greatest common divisor, up to a scalar factor."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        a, b = b, slow_poly_divmod(a, b)[1]
+    return a
+
+
+def ben_or_irreducible(coeffs: list[int]) -> bool:
+    """Ben-Or's test, valid for every degree >= 1 (slow beyond ~10).
+
+    p of degree d is irreducible iff gcd(x^(256^k) - x, p) == 1 for
+    k = 1 .. d // 2: no factor of degree k divides it.  A different
+    criterion from the package's Rabin test, on plain integer lists.
+    """
+    p = _trim(list(coeffs))
+    d = len(p) - 1
+    h = [1, 0]  # x
+    for _ in range(d // 2):
+        for _ in range(8):
+            h = slow_poly_divmod(slow_poly_mul(h, h), p)[1]
+        diff = [0] * max(0, 2 - len(h)) + list(h)
+        diff[-2] ^= 1
+        if len(slow_poly_gcd(p, diff)) > 1:
+            return False
+    return True
+
+
 def count_irreducible_degree2() -> int:
     """Vectorized count of monic irreducible x^2 + b x + c.
 

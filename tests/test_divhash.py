@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -131,3 +133,16 @@ def test_xor_bytes():
     assert xor_bytes(b"\x0f\xf0", b"\xff\xff") == b"\xf0\x0f"
     with pytest.raises(ValueError):
         xor_bytes(b"\x00", b"\x00\x00")
+
+
+def test_moduli_unchanged_at_signing_lengths():
+    # the moduli the 10 dB demo signs with, recorded from the original
+    # squaring-chain Rabin test; each walk asks for about d verdicts,
+    # so a changed verdict anywhere along them shows here
+    digest = hashlib.sha256()
+    for L in (688, 712):
+        for s in range(3):
+            bits = np.random.default_rng([L, s]).bytes(L // 8)
+            digest.update(bytes(derive_modulus(HashSeed(bits, L)).coeffs))
+    assert digest.hexdigest() == (
+        "b6476d97615f24d730cb615ebf30f1569b28041736141d611743bf016c17d835")

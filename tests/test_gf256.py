@@ -4,8 +4,9 @@ import pytest
 from qdsnet.gf256 import (INV, MUL, Poly, gf_inv, gf_mul, is_irreducible,
                           poly_divmod, poly_gcd, poly_mod, poly_mul)
 
-from helpers import (build_log_tables, count_irreducible_degree2,
-                     log_table_mul, slow_gf_mul, slow_irreducible_low_degree,
+from helpers import (ben_or_irreducible, build_log_tables,
+                     count_irreducible_degree2, has_root, log_table_mul,
+                     slow_gf_mul, slow_irreducible_low_degree,
                      slow_poly_divmod, slow_poly_mul)
 
 
@@ -151,3 +152,41 @@ def test_is_irreducible_agrees_with_root_search_sample():
     for b, c in rng.integers(0, 256, (300, 2)):
         p = Poly([1, int(b), int(c)])
         assert is_irreducible(p) == (not has_root([1, int(b), int(c)]))
+
+
+def _irreducibles(deg, count, rng):
+    found = []
+    while len(found) < count:
+        c = [1] + [int(x) for x in rng.integers(0, 256, deg)]
+        if c not in found and ben_or_irreducible(c):
+            found.append(c)
+    return found
+
+
+def test_is_irreducible_agrees_with_ben_or_sample():
+    rng = np.random.default_rng(9)
+    for deg in (4, 5, 6, 7, 8, 9):
+        for _ in range(8):
+            coeffs = [1] + [int(x) for x in rng.integers(0, 256, deg)]
+            assert is_irreducible(Poly(coeffs)) == ben_or_irreducible(coeffs)
+        for coeffs in _irreducibles(deg, 2, rng):
+            assert is_irreducible(Poly(coeffs))
+
+
+def test_root_free_reducible_polynomials_are_rejected():
+    # no root, so each case gets past the root test and is decided by
+    # the power chain (a repeated factor or a factor degree not dividing
+    # d) or by the gcds (every factor degree divides d)
+    rng = np.random.default_rng(12)
+    q1, q2 = _irreducibles(2, 2, rng)
+    c1, c2 = _irreducibles(3, 2, rng)
+    cases = {
+        "two quadratics": slow_poly_mul(q1, q2),
+        "quadratic squared": slow_poly_mul(q1, q1),
+        "quadratic times cubic": slow_poly_mul(q1, c1),
+        "two cubics": slow_poly_mul(c1, c2),
+        "quadratic times two cubics": slow_poly_mul(q1, slow_poly_mul(c1, c2)),
+    }
+    for name, coeffs in cases.items():
+        assert not has_root(coeffs), name
+        assert not is_irreducible(Poly(coeffs)), name
