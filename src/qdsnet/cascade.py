@@ -5,7 +5,10 @@ reference role (Bob or Charlie) holds the authoritative key and answers
 parity queries; the corrector role (Alice) locates errors by comparing
 block parities and binary-searching mismatched blocks, flipping her own
 bits.  Both parties derive each pass's shuffle from the shared seed, so
-no permutation ever crosses the wire.
+no permutation ever crosses the wire.  Neither role does I/O: the
+reference maps each request frame to its reply, the corrector is a
+generator that yields requests and is sent the replies, and reconcile()
+drives both from the calling thread over a frame channel.
 
 Passes after the first reshuffle with larger blocks; each flip toggles
 the bookkeeping of every earlier pass's block containing that position,
@@ -26,14 +29,13 @@ of key length.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .framing import (Frame, MsgType, ParityAnswer, ParityRequest,
-                      TagExchange, parse_payload)
+from .framing import (Frame, FrameError, MsgType, ParityAnswer,
+                      ParityRequest, TagExchange, pack_bits, parse_payload)
 
 MAX_TOTAL_PASSES = 20
 _MASK64 = (1 << 64) - 1
@@ -148,7 +150,7 @@ def _hash_tag(key_bits: np.ndarray, eps_cor: float, seed: int
     tables, beta = _session_tables(seed)
     t0, t1, t2, t3, t4, t5, t6, t7 = tables
 
-    data = np.packbits(np.asarray(key_bits, dtype=np.uint8)).tobytes()
+    data = pack_bits(key_bits)
     pad = (-len(data)) % 8
     words = np.frombuffer(data + b"\x00" * pad, dtype=">u8").tolist()
 
@@ -191,60 +193,75 @@ def _chunk_bounds(n: int, round_key_len: int) -> list[tuple[int, int]]:
 # --- party roles ------------------------------------------------------------
 
 class ReferenceRole:
-    """Parity server for the authoritative key; never mutates it."""
+    """Parity server for the authoritative key; never mutates it.
+
+    answer maps one request frame to its reply.  A request naming a
+    missing chunk, a pass not yet reachable or a range outside its chunk
+    is a FrameError, raised before any prefix array is built.
+    """
 
     def __init__(self, key_bits, cfg: ReconciliationConfig):
         self.key = np.asarray(key_bits, dtype=np.uint8).copy()
         self.cfg = cfg
+        self._bounds = _chunk_bounds(len(self.key), cfg.round_key_len)
         self._prefix_cache: dict[tuple[int, int], np.ndarray] = {}
+        self.leakage = 0
+        self.verified = False
+        self._done = False
 
     def _prefix(self, chunk: int, pass_id: int) -> np.ndarray:
         cached = self._prefix_cache.get((chunk, pass_id))
         if cached is None:
-            bounds = _chunk_bounds(len(self.key), self.cfg.round_key_len)
-            start, end = bounds[chunk]
+            start, end = self._bounds[chunk]
             perm = _pass_permutation(self.cfg.seed, chunk, pass_id, end - start)
             cached = np.bitwise_xor.accumulate(self.key[start:end][perm])
             self._prefix_cache[(chunk, pass_id)] = cached
         return cached
 
-    def serve(self, endpoint) -> ReconciliationResult:
-        """Answer parity queries until the tag exchange concludes."""
-        leakage = 0
-        seen: set[tuple[int, int]] = set()
-        verified = False
-        while True:
-            frame = endpoint.recv()
-            if frame.msg_type == MsgType.PARITY_REQUEST:
-                req = parse_payload(frame)
-                bits = []
-                for (chunk, pass_id, lo, hi) in req.items:
-                    seen.add((chunk, pass_id))
-                    prefix = self._prefix(chunk, pass_id)
-                    par = prefix[hi - 1]
-                    if lo:
-                        par ^= prefix[lo - 1]
-                    bits.append(int(par))
-                endpoint.send(ParityAnswer(tuple(bits)).encode())
-                leakage += len(bits)
-            elif frame.msg_type == MsgType.TAG_EXCHANGE:
-                theirs = parse_payload(frame)
-                n_bits, tag = _hash_tag(self.key, self.cfg.eps_cor,
-                                        self.cfg.seed)
-                endpoint.send(TagExchange(n_bits, tag).encode())
-                leakage += n_bits
-                verified = theirs.n_bits == n_bits and theirs.tag == tag
-                break
-            elif frame.msg_type == MsgType.CONTROL:
-                break
-            else:
-                raise ValueError(f"unexpected frame {frame.msg_type}")
-        return ReconciliationResult(self.key, leakage, verified,
-                                    rounds_used=len(seen))
+    def _check(self, items) -> None:
+        for item in items:
+            chunk, pass_id, lo, hi = item
+            start, end = (self._bounds[chunk] if chunk < len(self._bounds)
+                          else (0, 0))
+            # passes open in order: pass p follows a request on pass p - 1
+            reachable = (pass_id == 1
+                         or (chunk, pass_id - 1) in self._prefix_cache)
+            if not (reachable and pass_id <= MAX_TOTAL_PASSES
+                    and lo < hi <= end - start):
+                raise FrameError(f"parity request {item} out of range")
+
+    def answer(self, frame: Frame) -> Frame:
+        """Reply to one PARITY_REQUEST or the closing TAG_EXCHANGE."""
+        if self._done:
+            raise FrameError("session already verified")
+        if frame.msg_type == MsgType.PARITY_REQUEST:
+            items = parse_payload(frame).items
+            self._check(items)
+            bits = []
+            for (chunk, pass_id, lo, hi) in items:
+                prefix = self._prefix(chunk, pass_id)
+                par = prefix[hi - 1]
+                if lo:
+                    par ^= prefix[lo - 1]
+                bits.append(int(par))
+            self.leakage += len(bits)
+            return ParityAnswer(tuple(bits)).encode()
+        if frame.msg_type == MsgType.TAG_EXCHANGE:
+            theirs = parse_payload(frame)
+            n_bits, tag = _hash_tag(self.key, self.cfg.eps_cor, self.cfg.seed)
+            self.leakage += n_bits
+            self.verified = theirs.n_bits == n_bits and theirs.tag == tag
+            self._done = True
+            return TagExchange(n_bits, tag).encode()
+        raise FrameError(f"unexpected frame {frame.msg_type.name}")
+
+    def result(self) -> ReconciliationResult:
+        return ReconciliationResult(self.key, self.leakage, self.verified,
+                                    rounds_used=len(self._prefix_cache))
 
 
 class CorrectorRole:
-    """Locates and flips errors in its key against a reference endpoint."""
+    """Locates and flips errors in its key by querying the reference role."""
 
     def __init__(self, key_bits, cfg: ReconciliationConfig,
                  qber_estimate: float):
@@ -253,16 +270,15 @@ class CorrectorRole:
         self.estimate = qber_estimate
         self.leakage = 0
 
-    def _ask(self, endpoint, items: list) -> tuple:
-        endpoint.send(ParityRequest(tuple(items)).encode())
-        answer = parse_payload(endpoint.recv())
+    def _ask(self, items: list):
+        answer = parse_payload((yield ParityRequest(tuple(items)).encode()))
         if len(answer.bits) != len(items):
             raise ValueError("parity answer count mismatch")
         self.leakage += len(answer.bits)
         return answer.bits
 
-    def _wave(self, endpoint, chunk_idx: int, pass_id: int, blocks: list,
-              key_chunk: np.ndarray, passes_info: dict, diff_sets: dict) -> int:
+    def _wave(self, chunk_idx: int, pass_id: int, blocks: list,
+              key_chunk: np.ndarray, passes_info: dict, diff_sets: dict):
         """Binary-search every listed block of one pass in lockstep.
 
         All listed blocks currently have odd parity mismatch; blocks of
@@ -285,7 +301,7 @@ class CorrectorRole:
         while active:
             items = [(chunk_idx, pass_id, iv[0], (iv[0] + iv[1]) // 2)
                      for iv in active]
-            answers = self._ask(endpoint, items)
+            answers = yield from self._ask(items)
             for iv, ref_left in zip(active, answers):
                 mid = (iv[0] + iv[1]) // 2
                 if own(iv[0], mid) != ref_left:
@@ -306,7 +322,7 @@ class CorrectorRole:
                     s.add(blk)
         return len(intervals)
 
-    def _run_chunk(self, endpoint, chunk_idx: int, start: int, end: int) -> int:
+    def _run_chunk(self, chunk_idx: int, start: int, end: int):
         m = end - start
         if m == 0:
             return 0
@@ -333,7 +349,7 @@ class CorrectorRole:
             starts = np.arange(0, m, k)
             items = [(chunk_idx, pass_id, int(s), int(min(s + k, m)))
                      for s in starts]
-            ref_par = self._ask(endpoint, items)
+            ref_par = yield from self._ask(items)
             own = np.bitwise_xor.reduceat(key_chunk[perm], starts)
             inv = np.empty_like(perm)
             inv[perm] = np.arange(m)
@@ -347,9 +363,10 @@ class CorrectorRole:
                 if not pending:
                     break
                 q = min(pending, key=lambda r: passes_info[r]["k"])
-                flips += self._wave(endpoint, chunk_idx, q,
-                                    sorted(diff_sets[q]), key_chunk,
-                                    passes_info, diff_sets)
+                flips += yield from self._wave(chunk_idx, q,
+                                               sorted(diff_sets[q]),
+                                               key_chunk, passes_info,
+                                               diff_sets)
             if pass_id == 1:
                 found_pass1 = flips
             if pass_id >= min_total and flips == 0:
@@ -358,15 +375,18 @@ class CorrectorRole:
                 break
         return pass_id
 
-    def run(self, endpoint) -> ReconciliationResult:
-        """Reconcile every chunk, then exchange verification tags."""
+    def run(self):
+        """Reconcile every chunk, then exchange verification tags.
+
+        Yields each request frame, is sent the reply, and returns the
+        ReconciliationResult.
+        """
         rounds = 0
         bounds = _chunk_bounds(len(self.key), self.cfg.round_key_len)
         for chunk_idx, (start, end) in enumerate(bounds):
-            rounds += self._run_chunk(endpoint, chunk_idx, start, end)
+            rounds += yield from self._run_chunk(chunk_idx, start, end)
         n_bits, tag = _hash_tag(self.key, self.cfg.eps_cor, self.cfg.seed)
-        endpoint.send(TagExchange(n_bits, tag).encode())
-        theirs = parse_payload(endpoint.recv())
+        theirs = parse_payload((yield TagExchange(n_bits, tag).encode()))
         self.leakage += n_bits
         verified = theirs.n_bits == n_bits and theirs.tag == tag
         return ReconciliationResult(self.key, self.leakage, verified,
@@ -397,25 +417,12 @@ def reconcile(key_a, key_b, cfg: ReconciliationConfig,
         ep_a = RecordingEndpoint(ep_a, transcript)
 
     reference = ReferenceRole(b, cfg)
-    corrector = CorrectorRole(a, cfg, estimate)
-
-    ref_result: list = []
-    errors: list = []
-
-    def _serve():
-        try:
-            ref_result.append(reference.serve(ep_b))
-        except Exception as exc:  # propagated after join
-            errors.append(exc)
-
-    thread = threading.Thread(target=_serve, name="reference-role")
-    thread.start()
+    steps = CorrectorRole(a, cfg, estimate).run()
+    request = next(steps)
     try:
-        cor_result = corrector.run(ep_a)
-    finally:
-        thread.join(timeout=60.0)
-    if errors:
-        raise errors[0]
-    if not ref_result:
-        raise RuntimeError("reference role did not complete")
-    return cor_result, ref_result[0]
+        while True:
+            ep_a.send(request)
+            ep_b.send(reference.answer(ep_b.recv()))
+            request = steps.send(ep_a.recv())
+    except StopIteration as done:
+        return done.value, reference.result()

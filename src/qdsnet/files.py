@@ -14,16 +14,14 @@ import os
 import struct
 import tempfile
 
-import numpy as np
-
-from .framing import (BundleMsg, Frame, KeyShareMsg, MsgType, PositionList,
-                      decode_frame, encode_frame, parse_payload)
+from .framing import (ROLE_CODES, ROLE_NAMES, Frame, MsgType, PositionList,
+                      decode_frame, encode_frame, pack_bits, parse_payload,
+                      unpack_bits)
 from .protocol import (KeyShare, KeyStore, PositionAnnouncement,
-                       SignatureBundle)
+                       SignatureBundle, bundle_to_msg, msg_to_bundle,
+                       msg_to_share, share_to_msg)
 
 STORE_MAGIC = b"QDSK"
-_ROLE_CODES = {"alice": 0, "bob": 1, "charlie": 2}
-_ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
 
 
 class FileFormatError(ValueError):
@@ -32,10 +30,9 @@ class FileFormatError(ValueError):
 
 def store_to_bytes(store: KeyStore) -> bytes:
     n = len(store.key_bits)
-    body = (STORE_MAGIC + bytes([1, _ROLE_CODES[store.owner]])
+    body = (STORE_MAGIC + bytes([1, ROLE_CODES[store.owner]])
             + struct.pack(">I", n)
-            + np.packbits(store.key_bits).tobytes()
-            + np.packbits(store.used_mask.astype(np.uint8)).tobytes())
+            + pack_bits(store.key_bits) + pack_bits(store.used_mask))
     return body + hashlib.sha256(body).digest()
 
 
@@ -48,15 +45,15 @@ def store_from_bytes(data: bytes) -> KeyStore:
     version, role_code = body[4], body[5]
     if version != 1:
         raise FileFormatError(f"unsupported store version {version}")
+    if role_code not in ROLE_NAMES:
+        raise FileFormatError(f"unknown role code {role_code}")
     (n,) = struct.unpack(">I", body[6:10])
     packed_len = (n + 7) // 8
     if len(body) != 10 + 2 * packed_len:
         raise FileFormatError("key store length mismatch")
-    keys = np.unpackbits(np.frombuffer(body[10:10 + packed_len],
-                                       dtype=np.uint8))[:n]
-    used = np.unpackbits(np.frombuffer(body[10 + packed_len:],
-                                       dtype=np.uint8))[:n].astype(bool)
-    return KeyStore(keys, used, _ROLE_NAMES[role_code])
+    keys = unpack_bits(body[10:10 + packed_len], n)
+    used = unpack_bits(body[10 + packed_len:], n).astype(bool)
+    return KeyStore(keys, used, ROLE_NAMES[role_code])
 
 
 def write_store(store: KeyStore, path: str) -> None:
@@ -89,29 +86,22 @@ def _read_frame_file(path: str, expected: MsgType):
         data = fh.read()
     try:
         frame, used = decode_frame(data)
+        if used != len(data):
+            raise FileFormatError("trailing bytes after frame")
+        if frame.msg_type != expected:
+            raise FileFormatError(f"expected a {expected.name} frame, "
+                                  f"found {frame.msg_type.name}")
+        return parse_payload(frame)
     except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}")
-    if used != len(data):
-        raise FileFormatError(f"{path}: trailing bytes after frame")
-    if frame.msg_type != expected:
-        raise FileFormatError(f"{path}: expected a {expected.name} frame, "
-                              f"found {frame.msg_type.name}")
-    return parse_payload(frame)
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 def write_bundle(bundle: SignatureBundle, path: str) -> None:
-    msg = BundleMsg(np.packbits(bundle.sig).tobytes(), bundle.message,
-                    np.packbits(bundle.p_a).tobytes())
-    _write_frame_file(msg.encode(), path)
+    _write_frame_file(bundle_to_msg(bundle).encode(), path)
 
 
 def read_bundle(path: str) -> SignatureBundle:
-    msg = _read_frame_file(path, MsgType.SIGNATURE_BUNDLE)
-    L = len(msg.sig) * 8
-    return SignatureBundle(
-        np.unpackbits(np.frombuffer(msg.sig, dtype=np.uint8))[:L],
-        msg.message,
-        np.unpackbits(np.frombuffer(msg.p_a, dtype=np.uint8))[:L])
+    return msg_to_bundle(_read_frame_file(path, MsgType.SIGNATURE_BUNDLE))
 
 
 def write_announcement(ann: PositionAnnouncement, path: str) -> None:
@@ -124,15 +114,8 @@ def read_announcement(path: str) -> PositionAnnouncement:
 
 
 def write_share(share: KeyShare, path: str) -> None:
-    msg = KeyShareMsg(share.role, np.packbits(share.x_key).tobytes(),
-                      np.packbits(share.y_key).tobytes())
-    _write_frame_file(msg.encode(), path)
+    _write_frame_file(share_to_msg(share).encode(), path)
 
 
 def read_share(path: str) -> KeyShare:
-    msg = _read_frame_file(path, MsgType.KEY_SHARE)
-    L = len(msg.x_key) * 8
-    return KeyShare(
-        np.unpackbits(np.frombuffer(msg.x_key, dtype=np.uint8))[:L],
-        np.unpackbits(np.frombuffer(msg.y_key, dtype=np.uint8))[:L],
-        msg.role)
+    return msg_to_share(_read_frame_file(path, MsgType.KEY_SHARE))

@@ -95,12 +95,9 @@ class ParityRequest:
     @classmethod
     def decode(cls, payload: bytes) -> "ParityRequest":
         (count,) = struct.unpack_from(">I", payload, 0)
-        items = []
-        off = 4
-        for _ in range(count):
-            items.append(struct.unpack_from(">HHII", payload, off))
-            off += 12
-        return cls(items=tuple(items))
+        if len(payload) != 4 + 12 * count:
+            raise FrameError("parity request length does not match count")
+        return cls(items=tuple(struct.iter_unpack(">HHII", payload[4:])))
 
 
 @dataclass(frozen=True)
@@ -154,7 +151,9 @@ class PositionList:
     @classmethod
     def decode(cls, payload: bytes) -> "PositionList":
         (count,) = struct.unpack_from(">I", payload, 0)
-        arr = np.frombuffer(payload, dtype=">u4", count=count, offset=4)
+        if len(payload) != 4 + 4 * count:
+            raise FrameError("position list length does not match count")
+        arr = np.frombuffer(payload, dtype=">u4", offset=4)
         return cls(positions=tuple(int(p) for p in arr))
 
 
@@ -187,8 +186,8 @@ class BundleMsg:
         return cls(sig=sig, message=message, p_a=p_a)
 
 
-_ROLE_CODES = {"alice": 0, "bob": 1, "charlie": 2}
-_ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
+ROLE_CODES = {"alice": 0, "bob": 1, "charlie": 2}
+ROLE_NAMES = {v: k for k, v in ROLE_CODES.items()}
 
 
 @dataclass(frozen=True)
@@ -202,20 +201,20 @@ class KeyShareMsg:
     def encode(self) -> Frame:
         if len(self.x_key) != len(self.y_key):
             raise FrameError("x_key and y_key must have equal length")
-        payload = struct.pack(">BI", _ROLE_CODES[self.role], len(self.x_key)) \
+        payload = struct.pack(">BI", ROLE_CODES[self.role], len(self.x_key)) \
             + self.x_key + self.y_key
         return Frame(MsgType.KEY_SHARE, payload)
 
     @classmethod
     def decode(cls, payload: bytes) -> "KeyShareMsg":
         code, klen = struct.unpack_from(">BI", payload, 0)
-        if code not in _ROLE_NAMES:
+        if code not in ROLE_NAMES:
             raise FrameError(f"unknown role code {code}")
         x = payload[5:5 + klen]
         y = payload[5 + klen:5 + 2 * klen]
         if len(x) != klen or len(y) != klen:
             raise FrameError("key share payload truncated")
-        return cls(role=_ROLE_NAMES[code], x_key=x, y_key=y)
+        return cls(role=ROLE_NAMES[code], x_key=x, y_key=y)
 
 
 _DECISIONS = {"accept": 0, "reject": 1, "skipped": 2}
@@ -238,7 +237,9 @@ class DecisionMsg:
         code, rlen = struct.unpack_from(">BH", payload, 0)
         if code not in _DECISION_NAMES:
             raise FrameError(f"unknown decision code {code}")
-        reason = payload[3:3 + rlen].decode()
+        if len(payload) != 3 + rlen:
+            raise FrameError("decision reason length does not match")
+        reason = payload[3:].decode()
         return cls(decision=_DECISION_NAMES[code], reason=reason)
 
 
@@ -256,10 +257,9 @@ class ControlMsg:
 
     @classmethod
     def decode(cls, payload: bytes) -> "ControlMsg":
-        try:
-            obj = json.loads(payload.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FrameError(f"bad control payload: {exc}") from None
+        obj = json.loads(payload)  # parse_payload maps its errors
+        if not isinstance(obj, dict):
+            raise FrameError("control payload is not an object")
         kind = obj.pop("kind", None)
         if not isinstance(kind, str):
             raise FrameError("control payload missing kind")
@@ -279,5 +279,12 @@ _DECODERS = {
 
 
 def parse_payload(frame: Frame):
-    """Frame to its typed message object."""
-    return _DECODERS[frame.msg_type](frame.payload)
+    """Frame to its typed message object; malformed payloads raise
+    FrameError, whatever the decoder trips over."""
+    try:
+        return _DECODERS[frame.msg_type](frame.payload)
+    except FrameError:
+        raise
+    except (struct.error, IndexError, ValueError) as exc:
+        raise FrameError(f"malformed {frame.msg_type.name} payload: "
+                         f"{exc}") from None

@@ -112,15 +112,6 @@ ONE = Poly([1])
 ZERO = Poly([])
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    if a.degree < b.degree:
-        a, b = b, a
-    out = a.coeffs.copy()
-    if len(b.coeffs):
-        out[len(out) - len(b.coeffs):] ^= b.coeffs
-    return Poly(out)
-
-
 def poly_mul(a: Poly, b: Poly) -> Poly:
     if a.is_zero() or b.is_zero():
         return ZERO

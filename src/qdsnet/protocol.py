@@ -13,19 +13,23 @@ verifies anything, Charlie returns his share to Bob, and both check
 that unmasking the signature with the recombined X key reproduces the
 digest of the message under the recombined seed.  Bob rejecting
 short-circuits Charlie's check.
+
+Each party is a frame handler that does no I/O: it takes one frame from
+a peer and returns the frames it sends in reply.  run_messaging carries
+those frames over the parties' endpoints from the calling thread.
 """
 
 from __future__ import annotations
 
-import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .divhash import HashSeed, hash_document
-from .framing import (BundleMsg, DecisionMsg, KeyShareMsg, MsgType,
-                      PositionList, parse_payload)
+from .framing import (BundleMsg, DecisionMsg, Frame, KeyShareMsg, MsgType,
+                      PositionList, pack_bits, parse_payload, unpack_bits)
 
 ROLE_ALICE = "alice"
 ROLE_BOB = "bob"
@@ -199,14 +203,6 @@ def extract_share(store: KeyStore, announcement: PositionAnnouncement
     return KeyShare(bits[:L], bits[L:], store.owner)
 
 
-def _bits_to_bytes(bits: np.ndarray) -> bytes:
-    return np.packbits(bits).tobytes()
-
-
-def _bytes_to_bits(data: bytes, n_bits: int) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:n_bits]
-
-
 def sign(message: bytes, x_a, y_a, p_seed) -> SignatureBundle:
     """Mask the digest with X_a and the one-time hash seed with Y_a."""
     if not message:
@@ -220,8 +216,8 @@ def sign(message: bytes, x_a, y_a, p_seed) -> SignatureBundle:
         raise ValueError("signature length must be a multiple of 8 bits")
     rng = np.random.default_rng(p_seed)
     p_bits = rng.integers(0, 2, L, dtype=np.uint8)
-    seed = HashSeed(_bits_to_bytes(p_bits), L)
-    dig = _bytes_to_bits(hash_document(message, seed), L)
+    seed = HashSeed(pack_bits(p_bits), L)
+    dig = unpack_bits(hash_document(message, seed), L)
     return SignatureBundle(sig=dig ^ x, message=bytes(message),
                            p_a=p_bits ^ y)
 
@@ -239,8 +235,8 @@ def verify_as_receiver(bundle: SignatureBundle, own: KeyShare,
     k_y = own.y_key ^ peer.y_key
     expected = bundle.sig ^ k_x
     p_bits = bundle.p_a ^ k_y
-    seed = HashSeed(_bits_to_bytes(p_bits), L)
-    actual = _bytes_to_bits(hash_document(bundle.message, seed), L)
+    seed = HashSeed(pack_bits(p_bits), L)
+    actual = unpack_bits(hash_document(bundle.message, seed), L)
     if np.array_equal(expected, actual):
         return VerifyDecision(True, "digest match")
     return VerifyDecision(False, "digest mismatch")
@@ -285,43 +281,121 @@ def connect_parties(alice: KeyStore, bob: KeyStore, charlie: KeyStore,
     transcripts: dict = {}
     for left, right in ((ROLE_ALICE, ROLE_BOB), (ROLE_ALICE, ROLE_CHARLIE),
                         (ROLE_BOB, ROLE_CHARLIE)):
-        ep_l, ep_r = make_pair()
-        log_l: list = []
-        log_r: list = []
-        transcripts[f"{left}:{right}"] = log_l
-        transcripts[f"{right}:{left}"] = log_r
-        parties[left].endpoints[right] = RecordingEndpoint(ep_l, log_l)
-        parties[right].endpoints[left] = RecordingEndpoint(ep_r, log_r)
+        for (me, peer), ep in zip(((left, right), (right, left)),
+                                  make_pair()):
+            log = transcripts[f"{me}:{peer}"] = []
+            parties[me].endpoints[peer] = RecordingEndpoint(ep, log)
     return parties, transcripts
 
 
-def _share_to_msg(share: KeyShare) -> KeyShareMsg:
-    return KeyShareMsg(share.role, _bits_to_bytes(share.x_key),
-                       _bits_to_bytes(share.y_key))
+def share_to_msg(share: KeyShare) -> KeyShareMsg:
+    return KeyShareMsg(share.role, pack_bits(share.x_key),
+                       pack_bits(share.y_key))
 
 
-def _msg_to_share(msg: KeyShareMsg, L: int) -> KeyShare:
-    return KeyShare(_bytes_to_bits(msg.x_key, L),
-                    _bytes_to_bits(msg.y_key, L), msg.role)
+def msg_to_share(msg: KeyShareMsg) -> KeyShare:
+    L = len(msg.x_key) * 8
+    return KeyShare(unpack_bits(msg.x_key, L), unpack_bits(msg.y_key, L),
+                    msg.role)
 
 
-def _bundle_to_msg(bundle: SignatureBundle) -> BundleMsg:
-    return BundleMsg(_bits_to_bytes(bundle.sig), bundle.message,
-                     _bits_to_bytes(bundle.p_a))
+def bundle_to_msg(bundle: SignatureBundle) -> BundleMsg:
+    return BundleMsg(pack_bits(bundle.sig), bundle.message,
+                     pack_bits(bundle.p_a))
 
 
-def _msg_to_bundle(msg: BundleMsg) -> SignatureBundle:
+def msg_to_bundle(msg: BundleMsg) -> SignatureBundle:
     L = len(msg.sig) * 8
-    return SignatureBundle(_bytes_to_bits(msg.sig, L), msg.message,
-                           _bytes_to_bits(msg.p_a, L))
+    return SignatureBundle(unpack_bits(msg.sig, L), msg.message,
+                           unpack_bits(msg.p_a, L))
 
 
-def _recv_typed(endpoint, msg_type: MsgType):
-    frame = endpoint.recv()
-    if frame.msg_type != msg_type:
-        raise ProtocolError(f"expected {msg_type.name}, got "
-                            f"{frame.msg_type.name}")
+class Role:
+    """One party as a frame handler with no I/O of its own.
+
+    script is a generator: it yields the (peer, frame) pairs to send, is
+    sent each (peer, frame) delivered to it, and returns (result, the
+    last pairs to send).  result stays None until the script returns.
+    """
+
+    def __init__(self, script):
+        self.result = None
+        self._script = script
+
+    def start(self) -> list:
+        return self._advance(None)
+
+    def on_frame(self, peer: str, frame: Frame) -> list:
+        if self.result is not None:
+            raise ProtocolError("expected no more frames, got "
+                                f"{frame.msg_type.name} from {peer}")
+        return self._advance((peer, frame))
+
+    def _advance(self, delivered) -> list:
+        try:
+            return self._script.send(delivered)
+        except StopIteration as done:
+            self.result, last = done.value
+            return last
+
+
+def _expect(peer: str, msg_type: MsgType, out: list = ()):
+    """Script step: send out, then take the next frame, which must be
+    msg_type from peer; returns its decoded payload."""
+    got, frame = yield list(out)
+    if (got, frame.msg_type) != (peer, msg_type):
+        raise ProtocolError(f"expected {msg_type.name} from {peer}, got "
+                            f"{frame.msg_type.name} from {got}")
     return parse_payload(frame)
+
+
+def alice_script(store: KeyStore, message: bytes, L: int, position_seed,
+                 p_seed):
+    """Signer: announces the positions to both receivers, signs to Bob."""
+    yield from ()  # takes no frames: done at the start step
+    ann = select_positions(store, L, position_seed)
+    bundle = sign(message, store.bits_at(ann.positions[:L]),
+                  store.bits_at(ann.positions[L:]), p_seed)
+    announce = PositionList(tuple(ann.positions)).encode()
+    return (ann, bundle), [(ROLE_BOB, announce), (ROLE_CHARLIE, announce),
+                           (ROLE_BOB, bundle_to_msg(bundle).encode())]
+
+
+def bob_script(store: KeyStore, tamper):
+    """First receiver: forwards bundle and share, then verifies.  A
+    tamper callable makes Bob a forger: he forwards the altered bundle
+    and reports "accept" to Charlie without checking anything."""
+    ann = yield from _expect(ROLE_ALICE, MsgType.POSITION_ANNOUNCEMENT)
+    share = extract_share(store, PositionAnnouncement(ann.positions))
+    bundle = msg_to_bundle((yield from _expect(ROLE_ALICE,
+                                               MsgType.SIGNATURE_BUNDLE)))
+    forwarded = tamper(bundle) if tamper is not None else bundle
+    # transference precedes verification: Bob commits his share
+    # to Charlie before learning anything about Charlie's half
+    peer = yield from _expect(ROLE_CHARLIE, MsgType.KEY_SHARE, [
+        (ROLE_CHARLIE, bundle_to_msg(forwarded).encode()),
+        (ROLE_CHARLIE, share_to_msg(share).encode())])
+    if tamper is not None:
+        decision = VerifyDecision(True, "malicious: forwarded unchecked")
+    else:
+        decision = verify_as_receiver(bundle, share, msg_to_share(peer))
+    return decision, [(ROLE_CHARLIE, DecisionMsg(decision.decision,
+                                                 decision.reason).encode())]
+
+
+def charlie_script(store: KeyStore):
+    """Second receiver: swaps shares with Bob, checks if Bob accepted."""
+    ann = yield from _expect(ROLE_ALICE, MsgType.POSITION_ANNOUNCEMENT)
+    share = extract_share(store, PositionAnnouncement(ann.positions))
+    bundle = msg_to_bundle((yield from _expect(ROLE_BOB,
+                                               MsgType.SIGNATURE_BUNDLE)))
+    peer = msg_to_share((yield from _expect(ROLE_BOB, MsgType.KEY_SHARE)))
+    bob_said = yield from _expect(ROLE_BOB, MsgType.DECISION, [
+        (ROLE_BOB, share_to_msg(share).encode())])
+    if bob_said.decision != "accept":
+        return ("skipped", "first receiver rejected; check skipped"), []
+    decision = verify_as_receiver(bundle, share, peer)
+    return (decision.decision, decision.reason), []
 
 
 def run_messaging(parties: dict, message: bytes, *,
@@ -331,103 +405,45 @@ def run_messaging(parties: dict, message: bytes, *,
                   transcripts: Optional[dict] = None) -> MessagingOutcome:
     """Drive one signing round across three connected roles.
 
-    Each role runs as its own thread speaking only through its
-    endpoints.  A tamper callable turns Bob malicious: he forwards the
-    altered bundle and reports "accept" to Charlie without checking
-    anything, modelling a forging receiver.
+    A first-in first-out queue holds the frames the roles emit.  Each is
+    sent on the sender's endpoint, received on the addressee's and fed
+    to the addressee, whose replies join the queue.  A role or transport
+    error, or a queue that empties before every role is done, aborts.
     """
-    L = signature_len_bits
-    results: dict = {}
-    errors: list = []
-
-    def alice_script():
-        party = parties[ROLE_ALICE]
-        ann = select_positions(party.store, L, position_seed)
-        x_a = party.store.bits_at(ann.positions[:L])
-        y_a = party.store.bits_at(ann.positions[L:])
-        msg = PositionList(tuple(ann.positions)).encode()
-        party.endpoints[ROLE_BOB].send(msg)
-        party.endpoints[ROLE_CHARLIE].send(msg)
-        bundle = sign(message, x_a, y_a, p_seed)
-        party.endpoints[ROLE_BOB].send(_bundle_to_msg(bundle).encode())
-        results["alice"] = (ann, bundle)
-
-    def bob_script():
-        party = parties[ROLE_BOB]
-        to_alice = party.endpoints[ROLE_ALICE]
-        to_charlie = party.endpoints[ROLE_CHARLIE]
-        ann_msg = _recv_typed(to_alice, MsgType.POSITION_ANNOUNCEMENT)
-        share = extract_share(party.store,
-                              PositionAnnouncement(ann_msg.positions))
-        bundle = _msg_to_bundle(_recv_typed(to_alice,
-                                            MsgType.SIGNATURE_BUNDLE))
-        forwarded = tamper(bundle) if tamper is not None else bundle
-        # transference precedes verification: Bob commits his share
-        # to Charlie before learning anything about Charlie's half
-        to_charlie.send(_bundle_to_msg(forwarded).encode())
-        to_charlie.send(_share_to_msg(share).encode())
-        peer = _msg_to_share(_recv_typed(to_charlie, MsgType.KEY_SHARE), L)
-        if tamper is not None:
-            decision = VerifyDecision(True, "malicious: forwarded unchecked")
-        else:
-            decision = verify_as_receiver(bundle, share, peer)
-        to_charlie.send(DecisionMsg(decision.decision,
-                                    decision.reason).encode())
-        results["bob"] = decision
-
-    def charlie_script():
-        party = parties[ROLE_CHARLIE]
-        to_alice = party.endpoints[ROLE_ALICE]
-        to_bob = party.endpoints[ROLE_BOB]
-        ann_msg = _recv_typed(to_alice, MsgType.POSITION_ANNOUNCEMENT)
-        share = extract_share(party.store,
-                              PositionAnnouncement(ann_msg.positions))
-        bundle = _msg_to_bundle(_recv_typed(to_bob, MsgType.SIGNATURE_BUNDLE))
-        peer = _msg_to_share(_recv_typed(to_bob, MsgType.KEY_SHARE), L)
-        to_bob.send(_share_to_msg(share).encode())
-        bob_said = _recv_typed(to_bob, MsgType.DECISION)
-        if bob_said.decision != "accept":
-            results["charlie"] = ("skipped",
-                                  "first receiver rejected; check skipped")
-            return
-        decision = verify_as_receiver(bundle, share, peer)
-        results["charlie"] = (decision.decision, decision.reason)
-
-    def _guard(role, fn):
-        def runner():
-            try:
-                fn()
-            except Exception as exc:
-                errors.append((fn.__name__, exc))
-                # unblock peers waiting on this role
-                for ep in parties[role].endpoints.values():
-                    try:
-                        ep.close()
-                    except Exception:
-                        pass
-        return runner
-
-    scripts = ((ROLE_ALICE, alice_script), (ROLE_BOB, bob_script),
-               (ROLE_CHARLIE, charlie_script))
-    threads = [threading.Thread(target=_guard(role, fn), name=fn.__name__)
-               for role, fn in scripts]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=120.0)
-
+    roles = {name: Role(script) for name, script in (
+        (ROLE_ALICE, alice_script(parties[ROLE_ALICE].store, message,
+                                  signature_len_bits, position_seed, p_seed)),
+        (ROLE_BOB, bob_script(parties[ROLE_BOB].store, tamper)),
+        (ROLE_CHARLIE, charlie_script(parties[ROLE_CHARLIE].store)))}
     transcripts = transcripts if transcripts is not None else {}
-    if errors:
-        name, exc = errors[0]
+    queue: deque = deque()
+    try:
+        # who names the role whose step is running, for an abort
+        for who, role in roles.items():
+            queue.extend((who, dst, frame) for dst, frame in role.start())
+        while queue:
+            src, dst, frame = queue.popleft()
+            who = src
+            parties[src].endpoints[dst].send(frame)
+            who = dst
+            received = parties[dst].endpoints[src].recv()
+            queue.extend((dst, peer, reply)
+                         for peer, reply in roles[dst].on_frame(src, received))
+        unfinished = [name for name, r in roles.items() if r.result is None]
+        if unfinished:
+            who = unfinished[0]
+            raise ProtocolError("no frames left before "
+                                f"{', '.join(unfinished)} finished")
+    except Exception as exc:
         return MessagingOutcome(
             status="abort", bob_decision="abort", bob_reason="",
             charlie_decision="abort", charlie_reason="",
             transcripts=transcripts,
-            error=f"{name}: {type(exc).__name__}: {exc}")
+            error=f"{who}: {type(exc).__name__}: {exc}")
 
-    ann, bundle = results["alice"]
-    bob_dec = results["bob"]
-    ch_dec, ch_reason = results["charlie"]
+    ann, bundle = roles[ROLE_ALICE].result
+    bob_dec = roles[ROLE_BOB].result
+    ch_dec, ch_reason = roles[ROLE_CHARLIE].result
     return MessagingOutcome(
         status="ok",
         bob_decision=bob_dec.decision, bob_reason=bob_dec.reason,

@@ -1,9 +1,11 @@
 """Frame transports: in-memory queues and real sockets.
 
 Both paths serialize every frame with the same codec, so protocol
-behavior cannot depend on the transport.  Endpoints expose blocking
-send/recv of whole frames; a recording wrapper captures per-message
-transcript entries for leakage audits and protocol forensics.
+behavior cannot depend on the transport.  Endpoints send and receive
+whole frames, and one thread can send on one end of a pair and then
+receive on the other, whatever the frame size.  A recording wrapper
+captures per-message transcript entries for leakage audits and
+protocol forensics.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ class TransportError(RuntimeError):
 
 
 _CLOSED = object()
+_CHUNK = 1 << 16
 
 
 class MemoryEndpoint:
@@ -58,24 +61,44 @@ def memory_pair() -> tuple[MemoryEndpoint, MemoryEndpoint]:
 
 
 class SocketEndpoint:
-    """Frame channel over a connected stream socket."""
+    """Frame channel over a connected stream socket.  When the socket
+    buffer is full, send drains the linked peer's socket into the peer's
+    read buffer, which recv reads first, so one thread can pass a frame
+    of any size.  Both ends of a linked pair belong to that one thread."""
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
+        self._rbuf = bytearray()
+        self._peer: SocketEndpoint | None = None
+
+    def _drain(self) -> None:
+        self._sock.setblocking(False)
+        try:
+            while chunk := self._sock.recv(_CHUNK):
+                self._rbuf += chunk
+        except BlockingIOError:
+            pass
 
     def _read_exact(self, n: int) -> bytes:
-        buf = bytearray()
-        while len(buf) < n:
-            chunk = self._sock.recv(n - len(buf))
+        while len(self._rbuf) < n:
+            chunk = self._sock.recv(max(n - len(self._rbuf), _CHUNK))
             if not chunk:
                 raise TransportError("connection closed mid-frame"
-                                     if buf else "connection closed")
-            buf.extend(chunk)
-        return bytes(buf)
+                                     if self._rbuf else "connection closed")
+            self._rbuf += chunk
+        data = bytes(self._rbuf[:n])
+        del self._rbuf[:n]
+        return data
 
     def send(self, frame: Frame) -> None:
+        data = memoryview(encode_frame(frame))
         try:
-            self._sock.sendall(encode_frame(frame))
+            self._sock.setblocking(self._peer is None)
+            while data:
+                try:
+                    data = data[self._sock.send(data):]
+                except BlockingIOError:
+                    self._peer._drain()
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from None
 
@@ -89,6 +112,8 @@ class SocketEndpoint:
             payload = self._read_exact(length)
         except socket.timeout:
             raise TransportError("recv timed out") from None
+        except OSError as exc:
+            raise TransportError(f"recv failed: {exc}") from None
         frame, _ = decode_frame(header + payload)
         return frame
 
@@ -102,39 +127,9 @@ class SocketEndpoint:
 
 def socket_pair() -> tuple[SocketEndpoint, SocketEndpoint]:
     """Connected local socket pair speaking the frame protocol."""
-    a, b = socket.socketpair()
-    return SocketEndpoint(a), SocketEndpoint(b)
-
-
-def listen_once(host: str = "127.0.0.1", port: int = 0
-                ) -> tuple[socket.socket, int]:
-    """Bind a TCP listener; returns (listening socket, bound port)."""
-    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    srv.bind((host, port))
-    srv.listen(1)
-    return srv, srv.getsockname()[1]
-
-
-def accept_endpoint(srv: socket.socket, timeout: float = 30.0) -> SocketEndpoint:
-    srv.settimeout(timeout)
-    try:
-        conn, _ = srv.accept()
-    except socket.timeout:
-        raise TransportError("accept timed out") from None
-    finally:
-        srv.close()
-    return SocketEndpoint(conn)
-
-
-def connect_endpoint(host: str, port: int, timeout: float = 30.0
-                     ) -> SocketEndpoint:
-    try:
-        sock = socket.create_connection((host, port), timeout=timeout)
-    except OSError as exc:
-        raise TransportError(f"connect failed: {exc}") from None
-    sock.settimeout(None)
-    return SocketEndpoint(sock)
+    a, b = (SocketEndpoint(s) for s in socket.socketpair())
+    a._peer, b._peer = b, a
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -152,11 +147,11 @@ class TranscriptEntry:
 
 
 def _detail_of(frame: Frame) -> int | None:
-    if frame.msg_type == MsgType.PARITY_ANSWER:
+    """Count field of a parity or tag frame; None if it has none."""
+    if (frame.msg_type in (MsgType.PARITY_ANSWER, MsgType.PARITY_REQUEST)
+            and len(frame.payload) >= 4):
         return struct.unpack_from(">I", frame.payload, 0)[0]
-    if frame.msg_type == MsgType.PARITY_REQUEST:
-        return struct.unpack_from(">I", frame.payload, 0)[0]
-    if frame.msg_type == MsgType.TAG_EXCHANGE:
+    if frame.msg_type == MsgType.TAG_EXCHANGE and frame.payload:
         return frame.payload[0]
     return None
 

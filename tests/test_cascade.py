@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qdsnet.cascade import (ReconciliationConfig, block_length, reconcile,
+from qdsnet.cascade import (MAX_TOTAL_PASSES, ReconciliationConfig,
+                            ReferenceRole, block_length, reconcile,
                             tag_bit_count, verify)
 from qdsnet.finitekey import binary_entropy
+from qdsnet.framing import (ControlMsg, FrameError, ParityRequest,
+                            TagExchange, parse_payload)
 
 
 def _pair(n, n_err, seed):
@@ -164,3 +167,54 @@ def test_reconcile_rejects_length_mismatch():
         reconcile(np.zeros(10, np.uint8), np.zeros(11, np.uint8),
                   ReconciliationConfig(round_key_len=1000, passes=2,
                                        eps_cor=1e-10, seed=0))
+
+
+def _request(*items):
+    return ParityRequest(items=tuple(items)).encode()
+
+
+@pytest.mark.parametrize("item", [
+    (2, 1, 0, 10),                        # chunk out of range
+    (0, 0, 0, 10),                        # pass 0 does not exist
+    (0, MAX_TOTAL_PASSES + 1, 0, 10),     # beyond the pass limit
+    (0, 7, 0, 10),                        # pass 7 before passes 1..6
+    (0, 1, 0, 0),                         # hi = 0 would read prefix[-1]
+    (0, 1, 5, 5),                         # empty range
+    (0, 1, 9, 3),                         # reversed range
+    (0, 1, 0, 5000),                      # hi beyond the 1000-bit chunk
+    (1, 1, 0, 1001),                      # hi beyond the short last chunk
+])
+def test_reference_rejects_hostile_requests(item):
+    key = np.random.default_rng(38).integers(0, 2, 2000, dtype=np.uint8)
+    ref = ReferenceRole(key, ReconciliationConfig(round_key_len=1000))
+    with pytest.raises(FrameError):
+        ref.answer(_request((0, 1, 0, 4), item))
+    assert ref._prefix_cache == {}
+    assert ref.leakage == 0
+    # the session stays usable for honest requests
+    bits = parse_payload(ref.answer(_request((0, 1, 0, 1000)))).bits
+    assert len(bits) == 1 and ref.leakage == 1
+
+
+def test_reference_passes_advance_one_at_a_time():
+    key = np.random.default_rng(39).integers(0, 2, 1000, dtype=np.uint8)
+    ref = ReferenceRole(key, ReconciliationConfig(round_key_len=1000))
+    for pass_id in range(1, MAX_TOTAL_PASSES + 1):
+        ref.answer(_request((0, pass_id, 0, 10), (0, 1, 10, 20)))
+    with pytest.raises(FrameError):
+        ref.answer(_request((0, MAX_TOTAL_PASSES + 1, 0, 10)))
+    assert ref.result().rounds_used == MAX_TOTAL_PASSES
+
+
+def test_reference_rejects_other_frames_and_a_closed_session():
+    key = np.zeros(100, dtype=np.uint8)
+    cfg = ReconciliationConfig(round_key_len=100)
+    ref = ReferenceRole(key, cfg)
+    with pytest.raises(FrameError):
+        ref.answer(ControlMsg(kind="abort").encode())
+    n_bits, tag = 34, bytes(5)
+    reply = parse_payload(ref.answer(TagExchange(n_bits, tag).encode()))
+    assert reply.n_bits == 34
+    assert ref.result().leakage_bits == 34
+    with pytest.raises(FrameError):
+        ref.answer(_request((0, 1, 0, 10)))

@@ -55,6 +55,22 @@ def test_store_rejects_bad_magic_and_version():
         store_from_bytes(bytes(blob))
 
 
+def test_store_rejects_unknown_role_code():
+    import hashlib
+    body = bytearray(store_to_bytes(_store())[:-32])
+    body[5] = 9   # role byte, with the checksum recomputed to match
+    blob = bytes(body) + hashlib.sha256(bytes(body)).digest()
+    with pytest.raises(FileFormatError, match="role"):
+        store_from_bytes(blob)
+
+
+def test_corrupt_frame_file_is_a_format_error(tmp_path):
+    path = tmp_path / "b.bin"
+    path.write_bytes(b"QDS1\x05\x00\x00\x00\x02\xff\xff")
+    with pytest.raises(FileFormatError):
+        read_bundle(str(path))
+
+
 def test_store_rejects_truncation():
     blob = store_to_bytes(_store())
     with pytest.raises(FileFormatError):

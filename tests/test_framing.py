@@ -132,3 +132,40 @@ def test_parse_payload_dispatch_covers_every_type():
     assert seen_types == set(MsgType)
     for s in samples:
         assert parse_payload(s.encode()) == s
+
+
+@settings(max_examples=300)
+@given(msg_type=st.sampled_from(list(MsgType)),
+       payload=st.binary(min_size=0, max_size=64))
+def test_every_decoder_fails_only_with_frame_error(msg_type, payload):
+    try:
+        parse_payload(Frame(msg_type, payload))
+    except FrameError:
+        pass
+
+
+@pytest.mark.parametrize("msg_type", list(MsgType))
+def test_empty_payload_is_a_frame_error(msg_type):
+    with pytest.raises(FrameError):
+        parse_payload(Frame(msg_type, b""))
+
+
+@pytest.mark.parametrize("payload", [b"[1]", b'"kind"', b"\xff", b"{"])
+def test_control_rejects_non_objects(payload):
+    with pytest.raises(FrameError):
+        parse_payload(Frame(MsgType.CONTROL, payload))
+
+
+def test_short_position_list_is_a_frame_error():
+    frame = PositionList(positions=(1, 2, 3)).encode()
+    with pytest.raises(FrameError):
+        parse_payload(Frame(frame.msg_type, frame.payload[:-1]))
+
+
+@pytest.mark.parametrize("msg", [ParityRequest(items=((0, 1, 2, 3),)),
+                                 PositionList(positions=(5, 6)),
+                                 DecisionMsg(decision="reject", reason="no")])
+def test_trailing_payload_bytes_rejected(msg):
+    frame = msg.encode()
+    with pytest.raises(FrameError):
+        parse_payload(Frame(frame.msg_type, frame.payload + b"\x00"))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from qdsnet import protocol
 from qdsnet.cascade import ReconciliationResult
+from qdsnet.framing import DecisionMsg
 from qdsnet.protocol import (DistributionError, KeyExhaustedError, KeyReuseError,
                              KeyStore, PositionAnnouncement, SignatureBundle,
                              connect_parties, extract_share, run_distribution,
@@ -165,6 +167,26 @@ def test_messaging_honest_run(transport):
     assert len(outcome.announcement.positions) == 256
 
 
+def test_messaging_large_document_over_sockets():
+    # a 400 kB bundle is more than twice what a local socket pair buffers
+    alice, bob, charlie = synthetic_stores(4000, seed=53)
+    document = np.random.default_rng(53).bytes(400_000)
+    parties, transcripts = connect_parties(alice, bob, charlie,
+                                           transport="socket")
+    try:
+        outcome = run_messaging(parties, document, signature_len_bits=64,
+                                position_seed=13, p_seed=14,
+                                transcripts=transcripts)
+    finally:
+        for party in parties.values():
+            for ep in party.endpoints.values():
+                ep.close()
+    assert outcome.status == "ok", outcome.error
+    assert (outcome.bob_decision, outcome.charlie_decision) == ("accept",
+                                                               "accept")
+    assert outcome.bundle.message == document
+
+
 def test_messaging_tamper_detected():
     alice, bob, charlie = synthetic_stores(4000, seed=48)
     parties, transcripts = connect_parties(alice, bob, charlie)
@@ -245,3 +267,44 @@ def test_one_signature_per_position_set():
                            position_seed=11, p_seed=12, transcripts=t2)
     assert second.status == "ok"
     assert second.announcement.positions != first.announcement.positions
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
+def test_messaging_abort_on_out_of_order_frame(transport):
+    # a stray DECISION waits ahead of Alice's announcement on the
+    # alice->bob link, so Bob's first frame is one he cannot accept
+    alice, bob, charlie = synthetic_stores(4000, seed=54)
+    parties, transcripts = connect_parties(alice, bob, charlie,
+                                           transport=transport)
+    parties["alice"].endpoints["bob"].send(DecisionMsg("accept").encode())
+    try:
+        outcome = run_messaging(parties, b"stray frame", signature_len_bits=64,
+                                position_seed=15, p_seed=16,
+                                transcripts=transcripts)
+    finally:
+        for party in parties.values():
+            for ep in party.endpoints.values():
+                ep.close()
+    assert outcome.status == "abort"
+    assert outcome.error.startswith("bob: ProtocolError: ")
+    assert "POSITION_ANNOUNCEMENT" in outcome.error
+
+
+def test_messaging_abort_when_frames_run_out(monkeypatch):
+    # Alice never sends the bundle: the queue drains with Bob and
+    # Charlie still waiting, which is an abort, not a KeyError
+    script = protocol.alice_script
+
+    def without_bundle(*args):
+        result, frames = yield from script(*args)
+        return result, frames[:2]
+
+    monkeypatch.setattr(protocol, "alice_script", without_bundle)
+    alice, bob, charlie = synthetic_stores(4000, seed=55)
+    parties, transcripts = connect_parties(alice, bob, charlie)
+    outcome = run_messaging(parties, b"lost bundle", signature_len_bits=64,
+                            position_seed=17, p_seed=18,
+                            transcripts=transcripts)
+    assert outcome.status == "abort"
+    assert "no frames left before bob, charlie finished" in outcome.error
+    assert outcome.bob_decision == outcome.charlie_decision == "abort"

@@ -18,6 +18,13 @@ KNOWN_RATE_OUTLIERS = {"50km A-C", "200km A-C"}
 KNOWN_INCONSISTENT_CELLS = {"50km A-B", "200km A-B"}
 
 
+@pytest.fixture(scope="module")
+def table():
+    """One reproduce_table() at the default conventions for the module;
+    no test that takes it mutates it."""
+    return reproduce_table()
+
+
 def test_load_rows_complete():
     rows = load_rows()
     assert len(rows) == 8
@@ -50,8 +57,8 @@ def _name(row):
     return f"{row['distance_km']}km {row['link']}"
 
 
-def test_all_analysis_cells_within_tolerance():
-    result = reproduce_table()
+def test_all_analysis_cells_within_tolerance(table):
+    result = table
     assert len(result["rows"]) == 8
     for row in result["rows"]:
         checks = row["checks"]
@@ -60,8 +67,8 @@ def test_all_analysis_cells_within_tolerance():
             assert checks[cell]["pass"], (_name(row), cell)
 
 
-def test_rate_cells_match_documented_state():
-    result = reproduce_table()
+def test_rate_cells_match_documented_state(table):
+    result = table
     failed = {_name(r) for r in result["rows"] if not r["row_pass"]}
     assert failed == KNOWN_RATE_OUTLIERS
     flagged = {_name(r) for r in result["rows"] if r["flags"]}
@@ -76,8 +83,8 @@ def test_rate_cells_match_documented_state():
     assert best["rows_failed"] == 2
 
 
-def test_no_convention_does_better():
-    result = reproduce_table()
+def test_no_convention_does_better(table):
+    result = table
     ours = sum(1 for r in result["rows"] if not r["row_pass"])
     for alt in result["alternatives_evaluated"]:
         assert alt["rows_failed"] >= ours
@@ -93,17 +100,17 @@ def test_reproduce_row_shape():
         assert "computed" in cell and "published" in cell
 
 
-def test_alternative_convention_degrades():
+def test_alternative_convention_degrades(table):
     bad = reproduce_table(Conventions(log_base="2",
                                       vacuum_upper_intensity="mu"))
-    good = reproduce_table()
+    good = table
     n_bad = sum(1 for r in bad["rows"] if not r["row_pass"])
     n_good = sum(1 for r in good["rows"] if not r["row_pass"])
     assert n_bad > n_good
 
 
-def test_format_report_readable():
-    result = reproduce_table()
+def test_format_report_readable(table):
+    result = table
     text = format_report(result)
     for row in result["rows"]:
         assert _name(row) in text
@@ -117,8 +124,8 @@ def _prints_as(value: Decimal, printed: float) -> bool:
     return value.quantize(shown, rounding=ROUND_HALF_UP) == shown
 
 
-def test_every_row_has_a_witness_within_printed_precision():
-    result = reproduce_table()
+def test_every_row_has_a_witness_within_printed_precision(table):
+    result = table
     assert result["all_reproduced"] is True
     for row, res in zip(load_rows(), result["rows"]):
         witness = res["witness"]
@@ -217,9 +224,9 @@ def test_alternatives_reuse_the_judged_verdicts(monkeypatch):
     assert judged["failures"][0] == _name(load_rows()[0])
 
 
-def test_alternatives_match_a_direct_evaluation():
+def test_alternatives_match_a_direct_evaluation(table):
     rows = load_rows()
-    for alt in reproduce_table()["alternatives_evaluated"]:
+    for alt in table["alternatives_evaluated"]:
         conv = Conventions(log_base=alt["log_base"],
                            vacuum_upper_intensity=alt["vacuum_upper_intensity"])
         failed = [_name(r) for r in rows

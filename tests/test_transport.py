@@ -61,21 +61,31 @@ def test_socket_pair_transparency():
 
 
 def test_socket_large_payload():
-    # a payload bigger than the kernel socket buffer: the send blocks
-    # until the peer drains, so it must run from its own thread
+    # a frame bigger than the kernel socket buffer: the send drains the
+    # peer's socket into the peer's read buffer, so one thread can send
+    # it and then receive it
     a, b = socket_pair()
     payload = bytes(range(256)) * 2000   # 512 KB
-    sender = threading.Thread(
-        target=lambda: a.send(Frame(MsgType.CONTROL, payload)))
-    sender.start()
     try:
-        got = b.recv(timeout=5.0)
-        assert got.payload == payload
+        a.send(Frame(MsgType.CONTROL, payload))
+        a.send(_frame(1))
+        assert b.recv(timeout=5.0).payload == payload
+        assert parse_payload(b.recv(timeout=1.0)).fields["i"] == 1
+        b.send(Frame(MsgType.CONTROL, payload[::-1]))
+        assert a.recv(timeout=5.0).payload == payload[::-1]
     finally:
-        sender.join(timeout=2.0)
         a.close()
         b.close()
-    assert not sender.is_alive()
+
+
+def test_socket_recv_timeout():
+    a, b = socket_pair()
+    try:
+        with pytest.raises(TransportError, match="timed out"):
+            a.recv(timeout=0.05)
+    finally:
+        a.close()
+        b.close()
 
 
 def test_socket_close_breaks_recv():
@@ -132,3 +142,13 @@ def test_threaded_ping_pong():
         assert parse_payload(a.recv(timeout=2.0)).fields["i"] == i
     t.join(timeout=2.0)
     assert not t.is_alive()
+
+
+def test_recording_endpoint_tolerates_short_payloads():
+    a, b = memory_pair()
+    rb = RecordingEndpoint(b, [])
+    for msg_type in (MsgType.PARITY_ANSWER, MsgType.PARITY_REQUEST,
+                     MsgType.TAG_EXCHANGE):
+        a.send(Frame(msg_type, b""))
+        assert rb.recv(timeout=1.0).payload == b""
+    assert [e.detail for e in rb.log] == [None, None, None]
