@@ -257,7 +257,7 @@ class ControlMsg:
 
     @classmethod
     def decode(cls, payload: bytes) -> "ControlMsg":
-        obj = json.loads(payload)  # parse_payload maps its errors
+        obj = json.loads(payload.decode())  # parse_payload maps errors
         if not isinstance(obj, dict):
             raise FrameError("control payload is not an object")
         kind = obj.pop("kind", None)

@@ -14,8 +14,9 @@ that unmasking the signature with the recombined X key reproduces the
 digest of the message under the recombined seed.  Bob rejecting
 short-circuits Charlie's check.
 
-Each party is a frame handler that does no I/O: it takes one frame from
-a peer and returns the frames it sends in reply.  run_messaging carries
+No party does I/O.  Alice signs up front and returns the frames she
+sends; each receiver is a frame handler that takes one frame from a
+peer and returns the frames it sends in reply.  run_messaging carries
 those frames over the parties' endpoints from the calling thread.
 """
 
@@ -281,10 +282,13 @@ def connect_parties(alice: KeyStore, bob: KeyStore, charlie: KeyStore,
     transcripts: dict = {}
     for left, right in ((ROLE_ALICE, ROLE_BOB), (ROLE_ALICE, ROLE_CHARLIE),
                         (ROLE_BOB, ROLE_CHARLIE)):
-        for (me, peer), ep in zip(((left, right), (right, left)),
-                                  make_pair()):
-            log = transcripts[f"{me}:{peer}"] = []
-            parties[me].endpoints[peer] = RecordingEndpoint(ep, log)
+        ep_l, ep_r = make_pair()
+        log_l: list = []
+        log_r: list = []
+        transcripts[f"{left}:{right}"] = log_l
+        transcripts[f"{right}:{left}"] = log_r
+        parties[left].endpoints[right] = RecordingEndpoint(ep_l, log_l)
+        parties[right].endpoints[left] = RecordingEndpoint(ep_r, log_r)
     return parties, transcripts
 
 
@@ -310,35 +314,6 @@ def msg_to_bundle(msg: BundleMsg) -> SignatureBundle:
                            unpack_bits(msg.p_a, L))
 
 
-class Role:
-    """One party as a frame handler with no I/O of its own.
-
-    script is a generator: it yields the (peer, frame) pairs to send, is
-    sent each (peer, frame) delivered to it, and returns (result, the
-    last pairs to send).  result stays None until the script returns.
-    """
-
-    def __init__(self, script):
-        self.result = None
-        self._script = script
-
-    def start(self) -> list:
-        return self._advance(None)
-
-    def on_frame(self, peer: str, frame: Frame) -> list:
-        if self.result is not None:
-            raise ProtocolError("expected no more frames, got "
-                                f"{frame.msg_type.name} from {peer}")
-        return self._advance((peer, frame))
-
-    def _advance(self, delivered) -> list:
-        try:
-            return self._script.send(delivered)
-        except StopIteration as done:
-            self.result, last = done.value
-            return last
-
-
 def _expect(peer: str, msg_type: MsgType, out: list = ()):
     """Script step: send out, then take the next frame, which must be
     msg_type from peer; returns its decoded payload."""
@@ -349,10 +324,10 @@ def _expect(peer: str, msg_type: MsgType, out: list = ()):
     return parse_payload(frame)
 
 
-def alice_script(store: KeyStore, message: bytes, L: int, position_seed,
-                 p_seed):
-    """Signer: announces the positions to both receivers, signs to Bob."""
-    yield from ()  # takes no frames: done at the start step
+def alice_sign(store: KeyStore, message: bytes, L: int, position_seed,
+               p_seed):
+    """Signer: announces the positions to both receivers, signs to Bob.
+    Takes no frames; returns (result, the pairs to send)."""
     ann = select_positions(store, L, position_seed)
     bundle = sign(message, store.bits_at(ann.positions[:L]),
                   store.bits_at(ann.positions[L:]), p_seed)
@@ -405,31 +380,48 @@ def run_messaging(parties: dict, message: bytes, *,
                   transcripts: Optional[dict] = None) -> MessagingOutcome:
     """Drive one signing round across three connected roles.
 
-    A first-in first-out queue holds the frames the roles emit.  Each is
-    sent on the sender's endpoint, received on the addressee's and fed
-    to the addressee, whose replies join the queue.  A role or transport
-    error, or a queue that empties before every role is done, aborts.
+    The receivers are generator scripts: each yields the (peer, frame)
+    pairs to send, is sent each (peer, frame) delivered to it, and
+    returns (result, the last pairs to send).  A first-in first-out
+    queue holds the frames the roles emit.  Each is sent on the sender's
+    endpoint, received on the addressee's and fed to the addressee,
+    whose replies join the queue.  A role or transport error, a frame
+    for a role that is done, or a queue that empties before every role
+    is done, aborts.
     """
-    roles = {name: Role(script) for name, script in (
-        (ROLE_ALICE, alice_script(parties[ROLE_ALICE].store, message,
-                                  signature_len_bits, position_seed, p_seed)),
-        (ROLE_BOB, bob_script(parties[ROLE_BOB].store, tamper)),
-        (ROLE_CHARLIE, charlie_script(parties[ROLE_CHARLIE].store)))}
+    scripts = {ROLE_BOB: bob_script(parties[ROLE_BOB].store, tamper),
+               ROLE_CHARLIE: charlie_script(parties[ROLE_CHARLIE].store)}
     transcripts = transcripts if transcripts is not None else {}
+    results: dict = {}
     queue: deque = deque()
+
+    def step(name, delivered):
+        try:
+            out = scripts[name].send(delivered)
+        except StopIteration as done:
+            results[name], out = done.value
+        queue.extend((name, dst, frame) for dst, frame in out)
+
+    # who names the role whose step is running, for an abort
+    who = ROLE_ALICE
     try:
-        # who names the role whose step is running, for an abort
-        for who, role in roles.items():
-            queue.extend((who, dst, frame) for dst, frame in role.start())
+        results[ROLE_ALICE], out = alice_sign(
+            parties[ROLE_ALICE].store, message, signature_len_bits,
+            position_seed, p_seed)
+        queue.extend((ROLE_ALICE, dst, frame) for dst, frame in out)
+        for who in scripts:
+            step(who, None)
         while queue:
             src, dst, frame = queue.popleft()
             who = src
             parties[src].endpoints[dst].send(frame)
             who = dst
             received = parties[dst].endpoints[src].recv()
-            queue.extend((dst, peer, reply)
-                         for peer, reply in roles[dst].on_frame(src, received))
-        unfinished = [name for name, r in roles.items() if r.result is None]
+            if dst in results:
+                raise ProtocolError("expected no more frames, got "
+                                    f"{received.msg_type.name} from {src}")
+            step(dst, (src, received))
+        unfinished = [name for name in scripts if name not in results]
         if unfinished:
             who = unfinished[0]
             raise ProtocolError("no frames left before "
@@ -441,9 +433,9 @@ def run_messaging(parties: dict, message: bytes, *,
             transcripts=transcripts,
             error=f"{who}: {type(exc).__name__}: {exc}")
 
-    ann, bundle = roles[ROLE_ALICE].result
-    bob_dec = roles[ROLE_BOB].result
-    ch_dec, ch_reason = roles[ROLE_CHARLIE].result
+    ann, bundle = results[ROLE_ALICE]
+    bob_dec = results[ROLE_BOB]
+    ch_dec, ch_reason = results[ROLE_CHARLIE]
     return MessagingOutcome(
         status="ok",
         bob_decision=bob_dec.decision, bob_reason=bob_dec.reason,

@@ -66,10 +66,11 @@ class SocketEndpoint:
     read buffer, which recv reads first, so one thread can pass a frame
     of any size.  Both ends of a linked pair belong to that one thread."""
 
+    _peer: SocketEndpoint  # set by socket_pair
+
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._rbuf = bytearray()
-        self._peer: SocketEndpoint | None = None
 
     def _drain(self) -> None:
         self._sock.setblocking(False)
@@ -93,7 +94,7 @@ class SocketEndpoint:
     def send(self, frame: Frame) -> None:
         data = memoryview(encode_frame(frame))
         try:
-            self._sock.setblocking(self._peer is None)
+            self._sock.setblocking(False)
             while data:
                 try:
                     data = data[self._sock.send(data):]

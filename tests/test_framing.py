@@ -150,7 +150,10 @@ def test_empty_payload_is_a_frame_error(msg_type):
         parse_payload(Frame(msg_type, b""))
 
 
-@pytest.mark.parametrize("payload", [b"[1]", b'"kind"', b"\xff", b"{"])
+@pytest.mark.parametrize("payload", [
+    b"[1]", b'"kind"', b"\xff", b"{",
+    # well-formed objects, but not UTF-8
+    '{"kind": "x"}'.encode("utf-16"), '{"kind": "x"}'.encode("utf-32")])
 def test_control_rejects_non_objects(payload):
     with pytest.raises(FrameError):
         parse_payload(Frame(MsgType.CONTROL, payload))

@@ -293,13 +293,13 @@ def test_messaging_abort_on_out_of_order_frame(transport):
 def test_messaging_abort_when_frames_run_out(monkeypatch):
     # Alice never sends the bundle: the queue drains with Bob and
     # Charlie still waiting, which is an abort, not a KeyError
-    script = protocol.alice_script
+    sign_round = protocol.alice_sign
 
     def without_bundle(*args):
-        result, frames = yield from script(*args)
+        result, frames = sign_round(*args)
         return result, frames[:2]
 
-    monkeypatch.setattr(protocol, "alice_script", without_bundle)
+    monkeypatch.setattr(protocol, "alice_sign", without_bundle)
     alice, bob, charlie = synthetic_stores(4000, seed=55)
     parties, transcripts = connect_parties(alice, bob, charlie)
     outcome = run_messaging(parties, b"lost bundle", signature_len_bits=64,
@@ -308,3 +308,23 @@ def test_messaging_abort_when_frames_run_out(monkeypatch):
     assert outcome.status == "abort"
     assert "no frames left before bob, charlie finished" in outcome.error
     assert outcome.bob_decision == outcome.charlie_decision == "abort"
+
+
+def test_messaging_abort_on_frame_after_role_is_done(monkeypatch):
+    # Charlie's last step also writes to Alice, who signed at the start
+    # and takes no frames
+    script = protocol.charlie_script
+
+    def chatty(*args):
+        result, frames = yield from script(*args)
+        return result, frames + [("alice", DecisionMsg("accept").encode())]
+
+    monkeypatch.setattr(protocol, "charlie_script", chatty)
+    alice, bob, charlie = synthetic_stores(4000, seed=56)
+    parties, transcripts = connect_parties(alice, bob, charlie)
+    outcome = run_messaging(parties, b"late frame", signature_len_bits=64,
+                            position_seed=19, p_seed=20,
+                            transcripts=transcripts)
+    assert outcome.status == "abort"
+    assert outcome.error == ("alice: ProtocolError: expected no more "
+                             "frames, got DECISION from charlie")
