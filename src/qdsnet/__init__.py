@@ -14,7 +14,7 @@ The package splits into layers that can be used independently:
 
 from .cascade import ReconciliationConfig, ReconciliationResult, reconcile
 from .channel import ChannelModel, simulate_kgp
-from .divhash import HashSeed, derive_modulus, hash_document, xor_bytes
+from .divhash import HashSeed, derive_modulus, hash_document
 from .finitekey import (AnalysisError, Conventions, DetectionTally,
                         InsufficientDataError, IntensityConfig,
                         LinkInsecureError, SecurityReport, SecurityTargets,
@@ -44,5 +44,5 @@ __all__ = [
     "is_irreducible", "min_signature_length", "poly_mod", "reconcile",
     "report_at_length", "reproduce_table", "run_distribution",
     "run_messaging", "run_simulation", "select_positions", "sign",
-    "signature_rate", "simulate_kgp", "verify_as_receiver", "xor_bytes",
+    "signature_rate", "simulate_kgp", "verify_as_receiver",
 ]

@@ -220,9 +220,10 @@ def cmd_sign(args) -> int:
     y_a = store.bits_at(ann.positions[L:])
     bundle = sign(message, x_a, y_a, args.p_seed)
 
+    # consumption becomes durable before anything reveals the positions
+    write_store(store, args.store)
     write_bundle(bundle, args.out)
     write_announcement(ann, args.announce)
-    write_store(store, args.store)  # consumption becomes durable last
     print(f"bundle written to {args.out}")
     print(f"announcement written to {args.announce}")
     print(f"{2 * L} key bits consumed; {store.available} remain")
@@ -251,10 +252,10 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
+    write_store(store, args.store)
     if args.share_out:
         write_share(own, args.share_out)
         print(f"own share written to {args.share_out}")
-    write_store(store, args.store)
 
     if not args.peer_share:
         print("no peer share given: share extracted only, "

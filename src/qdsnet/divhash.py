@@ -98,9 +98,3 @@ def hash_document(message: bytes, seed: HashSeed) -> bytes:
                 nxt ^= MUL[lead, p_low]
             state, nxt = nxt, state
     return bytes(state)
-
-
-def xor_bytes(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))

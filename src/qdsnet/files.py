@@ -3,6 +3,9 @@
 Key stores are binary and checksummed; consumption rewrites the store
 through a temp file and os.replace, so a crash can never leave a store
 half-updated (either the old mask or the new one, never a torn file).
+The CLI writes the store before the bundle, announcement or share that
+reveals the consumed positions, so a crash between the two writes
+leaves those positions spent, never reusable.
 Bundles, announcements, and shares are single wire frames written to
 disk unchanged, so files and network traffic share one codec.
 """
@@ -14,12 +17,10 @@ import os
 import struct
 import tempfile
 
-from .framing import (ROLE_CODES, ROLE_NAMES, Frame, MsgType, PositionList,
-                      decode_frame, encode_frame, pack_bits, parse_payload,
-                      unpack_bits)
-from .protocol import (KeyShare, KeyStore, PositionAnnouncement,
-                       SignatureBundle, bundle_to_msg, msg_to_bundle,
-                       msg_to_share, share_to_msg)
+from .framing import (ROLE_CODES, ROLE_NAMES, Frame, KeyShare, MsgType,
+                      PositionAnnouncement, SignatureBundle, decode_frame,
+                      encode_frame, pack_bits, parse_payload, unpack_bits)
+from .protocol import KeyStore
 
 STORE_MAGIC = b"QDSK"
 
@@ -97,25 +98,24 @@ def _read_frame_file(path: str, expected: MsgType):
 
 
 def write_bundle(bundle: SignatureBundle, path: str) -> None:
-    _write_frame_file(bundle_to_msg(bundle).encode(), path)
+    _write_frame_file(bundle.encode(), path)
 
 
 def read_bundle(path: str) -> SignatureBundle:
-    return msg_to_bundle(_read_frame_file(path, MsgType.SIGNATURE_BUNDLE))
+    return _read_frame_file(path, MsgType.SIGNATURE_BUNDLE)
 
 
 def write_announcement(ann: PositionAnnouncement, path: str) -> None:
-    _write_frame_file(PositionList(tuple(ann.positions)).encode(), path)
+    _write_frame_file(ann.encode(), path)
 
 
 def read_announcement(path: str) -> PositionAnnouncement:
-    msg = _read_frame_file(path, MsgType.POSITION_ANNOUNCEMENT)
-    return PositionAnnouncement(tuple(msg.positions))
+    return _read_frame_file(path, MsgType.POSITION_ANNOUNCEMENT)
 
 
 def write_share(share: KeyShare, path: str) -> None:
-    _write_frame_file(share_to_msg(share).encode(), path)
+    _write_frame_file(share.encode(), path)
 
 
 def read_share(path: str) -> KeyShare:
-    return msg_to_share(_read_frame_file(path, MsgType.KEY_SHARE))
+    return _read_frame_file(path, MsgType.KEY_SHARE)

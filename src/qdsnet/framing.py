@@ -2,16 +2,19 @@
 
 Every message travels as one frame: 4-byte magic "QDS1", a 1-byte
 message type, a 4-byte big-endian payload length, then the payload.
-Payload layouts are fixed-width big-endian structs defined here next to
-their dataclasses, so the layer stays bit-exact across transports and
-store files reuse the same encoding.
+Each message is one frozen dataclass that is also its own codec
+(encode() -> Frame, decode(payload)): the parity request, parity answer
+and tag of reconciliation, and the position announcement, signature
+bundle, key share and decision of a signing round, which protocol uses
+and re-exports.  Payload layouts are fixed-width big-endian structs, so
+the layer stays bit-exact across transports, and bundle, announcement
+and share files hold the same frames.
 """
 
 from __future__ import annotations
 
-import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -32,7 +35,6 @@ class MsgType(IntEnum):
     SIGNATURE_BUNDLE = 5
     KEY_SHARE = 6
     DECISION = 7
-    CONTROL = 8
 
 
 @dataclass(frozen=True)
@@ -137,11 +139,32 @@ class TagExchange:
         return cls(n_bits=n_bits, tag=tag)
 
 
+ROLE_CODES = {"alice": 0, "bob": 1, "charlie": 2}
+ROLE_NAMES = {v: k for k, v in ROLE_CODES.items()}
+
+
+def _as_bits(bits) -> np.ndarray:
+    arr = np.asarray(bits, dtype=np.uint8)
+    if arr.ndim != 1 or (arr.size and arr.max() > 1):
+        raise ValueError("expected a flat 0/1 bit array")
+    return arr
+
+
 @dataclass(frozen=True)
-class PositionList:
-    """The 2L selected key positions; first half X, second half Y."""
+class PositionAnnouncement:
+    """Ordered 2L key positions; the first half indexes the X-keys."""
 
     positions: tuple
+
+    def __post_init__(self):
+        if len(self.positions) % 2:
+            raise ValueError("announcement must hold 2L positions")
+        if len(set(self.positions)) != len(self.positions):
+            raise ValueError("announced positions must be distinct")
+
+    @property
+    def half(self) -> int:
+        return len(self.positions) // 2
 
     def encode(self) -> Frame:
         payload = struct.pack(">I", len(self.positions)) + \
@@ -149,7 +172,7 @@ class PositionList:
         return Frame(MsgType.POSITION_ANNOUNCEMENT, payload)
 
     @classmethod
-    def decode(cls, payload: bytes) -> "PositionList":
+    def decode(cls, payload: bytes) -> "PositionAnnouncement":
         (count,) = struct.unpack_from(">I", payload, 0)
         if len(payload) != 4 + 4 * count:
             raise FrameError("position list length does not match count")
@@ -158,22 +181,31 @@ class PositionList:
 
 
 @dataclass(frozen=True)
-class BundleMsg:
-    """Signature transfer: {Sig, M, P_a}."""
+class SignatureBundle:
+    """{Sig, M, P_a} as transmitted from the signer to the first receiver."""
 
-    sig: bytes
+    sig: np.ndarray
     message: bytes
-    p_a: bytes
+    p_a: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "sig", _as_bits(self.sig))
+        object.__setattr__(self, "p_a", _as_bits(self.p_a))
+        if len(self.sig) != len(self.p_a):
+            raise ValueError("sig and p_a must have equal bit length")
+
+    @property
+    def signature_len_bits(self) -> int:
+        return len(self.sig)
 
     def encode(self) -> Frame:
-        if len(self.sig) != len(self.p_a):
-            raise FrameError("sig and p_a must have equal length")
-        payload = struct.pack(">II", len(self.sig), len(self.message)) \
-            + self.sig + self.message + self.p_a
+        sig, p_a = pack_bits(self.sig), pack_bits(self.p_a)
+        payload = struct.pack(">II", len(sig), len(self.message)) \
+            + sig + self.message + p_a
         return Frame(MsgType.SIGNATURE_BUNDLE, payload)
 
     @classmethod
-    def decode(cls, payload: bytes) -> "BundleMsg":
+    def decode(cls, payload: bytes) -> "SignatureBundle":
         sig_len, msg_len = struct.unpack_from(">II", payload, 0)
         off = 8
         sig = payload[off:off + sig_len]
@@ -183,30 +215,31 @@ class BundleMsg:
         p_a = payload[off:off + sig_len]
         if len(sig) != sig_len or len(message) != msg_len or len(p_a) != sig_len:
             raise FrameError("bundle payload truncated")
-        return cls(sig=sig, message=message, p_a=p_a)
-
-
-ROLE_CODES = {"alice": 0, "bob": 1, "charlie": 2}
-ROLE_NAMES = {v: k for k, v in ROLE_CODES.items()}
+        n = 8 * sig_len
+        return cls(unpack_bits(sig, n), message, unpack_bits(p_a, n))
 
 
 @dataclass(frozen=True)
-class KeyShareMsg:
-    """One verifier's extracted X/Y key halves."""
+class KeyShare:
+    """One receiver's halves of the announced positions."""
 
+    x_key: np.ndarray
+    y_key: np.ndarray
     role: str
-    x_key: bytes
-    y_key: bytes
+
+    def __post_init__(self):
+        object.__setattr__(self, "x_key", _as_bits(self.x_key))
+        object.__setattr__(self, "y_key", _as_bits(self.y_key))
+        if len(self.x_key) != len(self.y_key):
+            raise ValueError("x and y halves must have equal length")
 
     def encode(self) -> Frame:
-        if len(self.x_key) != len(self.y_key):
-            raise FrameError("x_key and y_key must have equal length")
-        payload = struct.pack(">BI", ROLE_CODES[self.role], len(self.x_key)) \
-            + self.x_key + self.y_key
+        x, y = pack_bits(self.x_key), pack_bits(self.y_key)
+        payload = struct.pack(">BI", ROLE_CODES[self.role], len(x)) + x + y
         return Frame(MsgType.KEY_SHARE, payload)
 
     @classmethod
-    def decode(cls, payload: bytes) -> "KeyShareMsg":
+    def decode(cls, payload: bytes) -> "KeyShare":
         code, klen = struct.unpack_from(">BI", payload, 0)
         if code not in ROLE_NAMES:
             raise FrameError(f"unknown role code {code}")
@@ -214,67 +247,45 @@ class KeyShareMsg:
         y = payload[5 + klen:5 + 2 * klen]
         if len(x) != klen or len(y) != klen:
             raise FrameError("key share payload truncated")
-        return cls(role=ROLE_NAMES[code], x_key=x, y_key=y)
-
-
-_DECISIONS = {"accept": 0, "reject": 1, "skipped": 2}
-_DECISION_NAMES = {v: k for k, v in _DECISIONS.items()}
+        n = 8 * klen
+        return cls(unpack_bits(x, n), unpack_bits(y, n), ROLE_NAMES[code])
 
 
 @dataclass(frozen=True)
-class DecisionMsg:
-    decision: str
-    reason: str = ""
+class VerifyDecision:
+    """A receiver's verdict; on the wire, code 0 accepts and 1 rejects."""
+
+    accept: bool
+    reason: str
+
+    @property
+    def decision(self) -> str:
+        return "accept" if self.accept else "reject"
 
     def encode(self) -> Frame:
         reason = self.reason.encode()
-        payload = struct.pack(">BH", _DECISIONS[self.decision], len(reason)) \
+        payload = struct.pack(">BH", 0 if self.accept else 1, len(reason)) \
             + reason
         return Frame(MsgType.DECISION, payload)
 
     @classmethod
-    def decode(cls, payload: bytes) -> "DecisionMsg":
+    def decode(cls, payload: bytes) -> "VerifyDecision":
         code, rlen = struct.unpack_from(">BH", payload, 0)
-        if code not in _DECISION_NAMES:
+        if code > 1:
             raise FrameError(f"unknown decision code {code}")
         if len(payload) != 3 + rlen:
             raise FrameError("decision reason length does not match")
-        reason = payload[3:].decode()
-        return cls(decision=_DECISION_NAMES[code], reason=reason)
-
-
-@dataclass(frozen=True)
-class ControlMsg:
-    """Low-rate control plane: hellos, session markers, aborts."""
-
-    kind: str
-    fields: dict = field(default_factory=dict)
-
-    def encode(self) -> Frame:
-        payload = json.dumps({"kind": self.kind, **self.fields},
-                             sort_keys=True).encode()
-        return Frame(MsgType.CONTROL, payload)
-
-    @classmethod
-    def decode(cls, payload: bytes) -> "ControlMsg":
-        obj = json.loads(payload.decode())  # parse_payload maps errors
-        if not isinstance(obj, dict):
-            raise FrameError("control payload is not an object")
-        kind = obj.pop("kind", None)
-        if not isinstance(kind, str):
-            raise FrameError("control payload missing kind")
-        return cls(kind=kind, fields=obj)
+        return cls(accept=code == 0, reason=payload[3:].decode())
 
 
 _DECODERS = {
     MsgType.PARITY_REQUEST: ParityRequest.decode,
     MsgType.PARITY_ANSWER: ParityAnswer.decode,
     MsgType.TAG_EXCHANGE: TagExchange.decode,
-    MsgType.POSITION_ANNOUNCEMENT: PositionList.decode,
-    MsgType.SIGNATURE_BUNDLE: BundleMsg.decode,
-    MsgType.KEY_SHARE: KeyShareMsg.decode,
-    MsgType.DECISION: DecisionMsg.decode,
-    MsgType.CONTROL: ControlMsg.decode,
+    MsgType.POSITION_ANNOUNCEMENT: PositionAnnouncement.decode,
+    MsgType.SIGNATURE_BUNDLE: SignatureBundle.decode,
+    MsgType.KEY_SHARE: KeyShare.decode,
+    MsgType.DECISION: VerifyDecision.decode,
 }
 
 

@@ -12,7 +12,10 @@ Bob forwards the bundle plus his own key share to Charlie before he
 verifies anything, Charlie returns his share to Bob, and both check
 that unmasking the signature with the recombined X key reproduces the
 digest of the message under the recombined seed.  Bob rejecting
-short-circuits Charlie's check.
+short-circuits Charlie's check.  The four messages of a round
+(PositionAnnouncement, SignatureBundle, KeyShare, VerifyDecision) are
+framing's dataclasses, each its own wire codec, and are re-exported
+here; a parsed frame is the message itself.
 
 No party does I/O.  Alice signs up front and returns the frames she
 sends; each receiver is a frame handler that takes one frame from a
@@ -29,8 +32,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .divhash import HashSeed, hash_document
-from .framing import (BundleMsg, DecisionMsg, Frame, KeyShareMsg, MsgType,
-                      PositionList, pack_bits, parse_payload, unpack_bits)
+from .framing import (KeyShare, MsgType, PositionAnnouncement,
+                      SignatureBundle, VerifyDecision, _as_bits, pack_bits,
+                      parse_payload, unpack_bits)
 
 ROLE_ALICE = "alice"
 ROLE_BOB = "bob"
@@ -51,13 +55,6 @@ class KeyExhaustedError(ProtocolError):
 
 class KeyReuseError(ProtocolError):
     """A position was consumed twice; the one-time property forbids it."""
-
-
-def _as_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1 or (arr.size and arr.max() > 1):
-        raise ValueError("expected a flat 0/1 bit array")
-    return arr
 
 
 @dataclass
@@ -94,67 +91,6 @@ class KeyStore:
             raise KeyReuseError(f"{self.owner}: position already consumed")
         self.used_mask[idx] = True
         return self.key_bits[idx].copy()
-
-
-@dataclass(frozen=True)
-class PositionAnnouncement:
-    """Ordered 2L key positions; the first half indexes the X-keys."""
-
-    positions: tuple
-
-    def __post_init__(self):
-        if len(self.positions) % 2:
-            raise ValueError("announcement must hold 2L positions")
-        if len(set(self.positions)) != len(self.positions):
-            raise ValueError("announced positions must be distinct")
-
-    @property
-    def half(self) -> int:
-        return len(self.positions) // 2
-
-
-@dataclass(frozen=True)
-class SignatureBundle:
-    """{Sig, M, P_a} as transmitted from the signer to the first receiver."""
-
-    sig: np.ndarray
-    message: bytes
-    p_a: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "sig", _as_bits(self.sig))
-        object.__setattr__(self, "p_a", _as_bits(self.p_a))
-        if len(self.sig) != len(self.p_a):
-            raise ValueError("sig and p_a must have equal bit length")
-
-    @property
-    def signature_len_bits(self) -> int:
-        return len(self.sig)
-
-
-@dataclass(frozen=True)
-class KeyShare:
-    """One receiver's halves of the announced positions."""
-
-    x_key: np.ndarray
-    y_key: np.ndarray
-    role: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "x_key", _as_bits(self.x_key))
-        object.__setattr__(self, "y_key", _as_bits(self.y_key))
-        if len(self.x_key) != len(self.y_key):
-            raise ValueError("x and y halves must have equal length")
-
-
-@dataclass(frozen=True)
-class VerifyDecision:
-    accept: bool
-    reason: str
-
-    @property
-    def decision(self) -> str:
-        return "accept" if self.accept else "reject"
 
 
 def run_distribution(link_b, link_c) -> tuple[KeyStore, KeyStore, KeyStore]:
@@ -268,7 +204,7 @@ def connect_parties(alice: KeyStore, bob: KeyStore, charlie: KeyStore,
                     transport: str = "inproc") -> tuple[dict, dict]:
     """Wire the triangle with transcript recording on every endpoint.
 
-    transport "inproc" uses queue channels, "socket" real socket pairs;
+    transport "inproc" uses in-memory channels, "socket" real socket pairs;
     both speak the identical frame codec.  Returns
     ({role: Party}, {"<role>:<peer>": entry list}).
     """
@@ -292,31 +228,9 @@ def connect_parties(alice: KeyStore, bob: KeyStore, charlie: KeyStore,
     return parties, transcripts
 
 
-def share_to_msg(share: KeyShare) -> KeyShareMsg:
-    return KeyShareMsg(share.role, pack_bits(share.x_key),
-                       pack_bits(share.y_key))
-
-
-def msg_to_share(msg: KeyShareMsg) -> KeyShare:
-    L = len(msg.x_key) * 8
-    return KeyShare(unpack_bits(msg.x_key, L), unpack_bits(msg.y_key, L),
-                    msg.role)
-
-
-def bundle_to_msg(bundle: SignatureBundle) -> BundleMsg:
-    return BundleMsg(pack_bits(bundle.sig), bundle.message,
-                     pack_bits(bundle.p_a))
-
-
-def msg_to_bundle(msg: BundleMsg) -> SignatureBundle:
-    L = len(msg.sig) * 8
-    return SignatureBundle(unpack_bits(msg.sig, L), msg.message,
-                           unpack_bits(msg.p_a, L))
-
-
 def _expect(peer: str, msg_type: MsgType, out: list = ()):
     """Script step: send out, then take the next frame, which must be
-    msg_type from peer; returns its decoded payload."""
+    msg_type from peer; returns the message it carries."""
     got, frame = yield list(out)
     if (got, frame.msg_type) != (peer, msg_type):
         raise ProtocolError(f"expected {msg_type.name} from {peer}, got "
@@ -331,9 +245,9 @@ def alice_sign(store: KeyStore, message: bytes, L: int, position_seed,
     ann = select_positions(store, L, position_seed)
     bundle = sign(message, store.bits_at(ann.positions[:L]),
                   store.bits_at(ann.positions[L:]), p_seed)
-    announce = PositionList(tuple(ann.positions)).encode()
+    announce = ann.encode()
     return (ann, bundle), [(ROLE_BOB, announce), (ROLE_CHARLIE, announce),
-                           (ROLE_BOB, bundle_to_msg(bundle).encode())]
+                           (ROLE_BOB, bundle.encode())]
 
 
 def bob_script(store: KeyStore, tamper):
@@ -341,33 +255,29 @@ def bob_script(store: KeyStore, tamper):
     tamper callable makes Bob a forger: he forwards the altered bundle
     and reports "accept" to Charlie without checking anything."""
     ann = yield from _expect(ROLE_ALICE, MsgType.POSITION_ANNOUNCEMENT)
-    share = extract_share(store, PositionAnnouncement(ann.positions))
-    bundle = msg_to_bundle((yield from _expect(ROLE_ALICE,
-                                               MsgType.SIGNATURE_BUNDLE)))
+    share = extract_share(store, ann)
+    bundle = yield from _expect(ROLE_ALICE, MsgType.SIGNATURE_BUNDLE)
     forwarded = tamper(bundle) if tamper is not None else bundle
     # transference precedes verification: Bob commits his share
     # to Charlie before learning anything about Charlie's half
     peer = yield from _expect(ROLE_CHARLIE, MsgType.KEY_SHARE, [
-        (ROLE_CHARLIE, bundle_to_msg(forwarded).encode()),
-        (ROLE_CHARLIE, share_to_msg(share).encode())])
+        (ROLE_CHARLIE, forwarded.encode()), (ROLE_CHARLIE, share.encode())])
     if tamper is not None:
         decision = VerifyDecision(True, "malicious: forwarded unchecked")
     else:
-        decision = verify_as_receiver(bundle, share, msg_to_share(peer))
-    return decision, [(ROLE_CHARLIE, DecisionMsg(decision.decision,
-                                                 decision.reason).encode())]
+        decision = verify_as_receiver(bundle, share, peer)
+    return decision, [(ROLE_CHARLIE, decision.encode())]
 
 
 def charlie_script(store: KeyStore):
     """Second receiver: swaps shares with Bob, checks if Bob accepted."""
     ann = yield from _expect(ROLE_ALICE, MsgType.POSITION_ANNOUNCEMENT)
-    share = extract_share(store, PositionAnnouncement(ann.positions))
-    bundle = msg_to_bundle((yield from _expect(ROLE_BOB,
-                                               MsgType.SIGNATURE_BUNDLE)))
-    peer = msg_to_share((yield from _expect(ROLE_BOB, MsgType.KEY_SHARE)))
+    share = extract_share(store, ann)
+    bundle = yield from _expect(ROLE_BOB, MsgType.SIGNATURE_BUNDLE)
+    peer = yield from _expect(ROLE_BOB, MsgType.KEY_SHARE)
     bob_said = yield from _expect(ROLE_BOB, MsgType.DECISION, [
-        (ROLE_BOB, share_to_msg(share).encode())])
-    if bob_said.decision != "accept":
+        (ROLE_BOB, share.encode())])
+    if not bob_said.accept:
         return ("skipped", "first receiver rejected; check skipped"), []
     decision = verify_as_receiver(bundle, share, peer)
     return (decision.decision, decision.reason), []

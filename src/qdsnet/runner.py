@@ -16,7 +16,7 @@ produce byte-identical outcome files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -171,34 +171,24 @@ def run_simulation(config: RunConfig,
 
     # security analysis with the measured disclosure
     m_bits = 8 * len(message)
-    reports = {}
+    targets = {name: replace(config.targets, message_len_bits=m_bits,
+                             lambda_ec_bits=lambda_ec[name])
+               for name in batches}
     lengths = {}
     for name, batch in batches.items():
-        targets = SecurityTargets(
-            eps_sf=config.targets.eps_sf, eps_cor=config.targets.eps_cor,
-            eps_target=config.targets.eps_target,
-            message_len_bits=m_bits, lambda_ec_bits=lambda_ec[name])
         try:
-            length, report = min_signature_length(
-                batch.tally, links[name].intensity, targets, conventions)
+            lengths[name], _ = min_signature_length(
+                batch.tally, links[name].intensity, targets[name],
+                conventions)
         except AnalysisError as exc:
             raise RunError("security", f"{name} link insecure: {exc}")
-        lengths[name] = length
-        reports[name] = report
     signature_len = max(lengths.values())
 
     # both links must meet the target at the common (larger) length
     final_reports = {}
     for name, batch in batches.items():
-        targets = SecurityTargets(
-            eps_sf=config.targets.eps_sf, eps_cor=config.targets.eps_cor,
-            eps_target=config.targets.eps_target,
-            message_len_bits=m_bits, lambda_ec_bits=lambda_ec[name])
-        try:
-            rep = report_at_length(batch.tally, links[name].intensity,
-                                   targets, signature_len, conventions)
-        except AnalysisError as exc:
-            raise RunError("security", f"{name} link insecure: {exc}")
+        rep = report_at_length(batch.tally, links[name].intensity,
+                               targets[name], signature_len, conventions)
         if rep.eps > config.targets.eps_target:
             raise RunError("security",
                            f"{name} link misses the target at the common "
@@ -225,12 +215,17 @@ def run_simulation(config: RunConfig,
     parties, transcripts = connect_parties(alice_store, bob_store,
                                            charlie_store,
                                            transport=config.transport)
-    outcome: MessagingOutcome = run_messaging(
-        parties, message, signature_len_bits=signature_len,
-        position_seed=_derived_seed(config.protocol_seed, 2, 0),
-        p_seed=_derived_seed(config.protocol_seed, 2, 1),
-        tamper=_tamper_one_byte if config.tamper else None,
-        transcripts=transcripts)
+    try:
+        outcome: MessagingOutcome = run_messaging(
+            parties, message, signature_len_bits=signature_len,
+            position_seed=_derived_seed(config.protocol_seed, 2, 0),
+            p_seed=_derived_seed(config.protocol_seed, 2, 1),
+            tamper=_tamper_one_byte if config.tamper else None,
+            transcripts=transcripts)
+    finally:
+        for party in parties.values():
+            for endpoint in party.endpoints.values():
+                endpoint.close()
     if outcome.status != "ok":
         raise RunError("protocol", outcome.error)
 

@@ -1,18 +1,20 @@
-"""Frame transports: in-memory queues and real sockets.
+"""Frame transports: in-memory deques and real sockets.
 
 Both paths serialize every frame with the same codec, so protocol
 behavior cannot depend on the transport.  Endpoints send and receive
 whole frames, and one thread can send on one end of a pair and then
-receive on the other, whatever the frame size.  A recording wrapper
+receive on the other, whatever the frame size.  Nothing else can send
+while that thread waits, so recv never blocks: on an empty channel it
+raises TransportError at once.  A recording wrapper
 captures per-message transcript entries for leakage audits and
 protocol forensics.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
 import struct
+from collections import deque
 from dataclasses import dataclass
 
 from .framing import (HEADER_LEN, MAGIC, Frame, MsgType, decode_frame,
@@ -30,18 +32,17 @@ _CHUNK = 1 << 16
 class MemoryEndpoint:
     """One end of an in-process bidirectional frame channel."""
 
-    def __init__(self, rx: queue.Queue, tx: queue.Queue):
+    def __init__(self, rx: deque, tx: deque):
         self._rx = rx
         self._tx = tx
 
     def send(self, frame: Frame) -> None:
-        self._tx.put(encode_frame(frame))
+        self._tx.append(encode_frame(frame))
 
-    def recv(self, timeout: float | None = 30.0) -> Frame:
-        try:
-            data = self._rx.get(timeout=timeout)
-        except queue.Empty:
-            raise TransportError("recv timed out") from None
+    def recv(self) -> Frame:
+        if not self._rx:
+            raise TransportError("no frame to receive")
+        data = self._rx.popleft()
         if data is _CLOSED:
             raise TransportError("endpoint closed")
         frame, used = decode_frame(data)
@@ -50,30 +51,31 @@ class MemoryEndpoint:
         return frame
 
     def close(self) -> None:
-        self._tx.put(_CLOSED)
+        self._tx.append(_CLOSED)
 
 
 def memory_pair() -> tuple[MemoryEndpoint, MemoryEndpoint]:
-    a_to_b: queue.Queue = queue.Queue()
-    b_to_a: queue.Queue = queue.Queue()
+    a_to_b: deque = deque()
+    b_to_a: deque = deque()
     return (MemoryEndpoint(rx=b_to_a, tx=a_to_b),
             MemoryEndpoint(rx=a_to_b, tx=b_to_a))
 
 
 class SocketEndpoint:
-    """Frame channel over a connected stream socket.  When the socket
-    buffer is full, send drains the linked peer's socket into the peer's
-    read buffer, which recv reads first, so one thread can pass a frame
-    of any size.  Both ends of a linked pair belong to that one thread."""
+    """Frame channel over a connected, non-blocking stream socket.  When
+    the socket buffer is full, send drains the linked peer's socket into
+    the peer's read buffer, which recv reads first, so one thread can
+    pass a frame of any size.  Both ends of a linked pair belong to that
+    one thread."""
 
     _peer: SocketEndpoint  # set by socket_pair
 
     def __init__(self, sock: socket.socket):
+        sock.setblocking(False)
         self._sock = sock
         self._rbuf = bytearray()
 
     def _drain(self) -> None:
-        self._sock.setblocking(False)
         try:
             while chunk := self._sock.recv(_CHUNK):
                 self._rbuf += chunk
@@ -82,7 +84,11 @@ class SocketEndpoint:
 
     def _read_exact(self, n: int) -> bytes:
         while len(self._rbuf) < n:
-            chunk = self._sock.recv(max(n - len(self._rbuf), _CHUNK))
+            try:
+                chunk = self._sock.recv(max(n - len(self._rbuf), _CHUNK))
+            except BlockingIOError:
+                raise TransportError("frame incomplete" if self._rbuf
+                                     else "no frame to receive") from None
             if not chunk:
                 raise TransportError("connection closed mid-frame"
                                      if self._rbuf else "connection closed")
@@ -94,7 +100,6 @@ class SocketEndpoint:
     def send(self, frame: Frame) -> None:
         data = memoryview(encode_frame(frame))
         try:
-            self._sock.setblocking(False)
             while data:
                 try:
                     data = data[self._sock.send(data):]
@@ -103,16 +108,13 @@ class SocketEndpoint:
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from None
 
-    def recv(self, timeout: float | None = 30.0) -> Frame:
-        self._sock.settimeout(timeout)
+    def recv(self) -> Frame:
         try:
             header = self._read_exact(HEADER_LEN)
             if header[:4] != MAGIC:
                 raise TransportError(f"bad magic {header[:4]!r}")
             (length,) = struct.unpack(">I", header[5:])
             payload = self._read_exact(length)
-        except socket.timeout:
-            raise TransportError("recv timed out") from None
         except OSError as exc:
             raise TransportError(f"recv failed: {exc}") from None
         frame, _ = decode_frame(header + payload)
@@ -169,8 +171,8 @@ class RecordingEndpoint:
                                         len(frame.payload), _detail_of(frame)))
         self._inner.send(frame)
 
-    def recv(self, timeout: float | None = 30.0) -> Frame:
-        frame = self._inner.recv(timeout=timeout)
+    def recv(self) -> Frame:
+        frame = self._inner.recv()
         self.log.append(TranscriptEntry("recv", frame.msg_type.name,
                                         len(frame.payload), _detail_of(frame)))
         return frame

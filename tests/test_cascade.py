@@ -7,8 +7,8 @@ from qdsnet.cascade import (MAX_TOTAL_PASSES, ReconciliationConfig,
                             ReferenceRole, block_length, reconcile,
                             tag_bit_count, verify)
 from qdsnet.finitekey import binary_entropy
-from qdsnet.framing import (ControlMsg, FrameError, ParityRequest,
-                            TagExchange, parse_payload)
+from qdsnet.framing import (FrameError, ParityRequest, TagExchange,
+                            VerifyDecision, parse_payload)
 
 
 def _pair(n, n_err, seed):
@@ -211,7 +211,7 @@ def test_reference_rejects_other_frames_and_a_closed_session():
     cfg = ReconciliationConfig(round_key_len=100)
     ref = ReferenceRole(key, cfg)
     with pytest.raises(FrameError):
-        ref.answer(ControlMsg(kind="abort").encode())
+        ref.answer(VerifyDecision(False, "abort").encode())
     n_bits, tag = 34, bytes(5)
     reply = parse_payload(ref.answer(TagExchange(n_bits, tag).encode()))
     assert reply.n_bits == 34

@@ -5,8 +5,10 @@ from importlib.resources import files as pkg_files
 import numpy as np
 import pytest
 
+import qdsnet.files
 from qdsnet.cli import (EXIT_KEY_EXHAUSTED, EXIT_OK, EXIT_PARSE, EXIT_REJECT,
                         EXIT_SECURITY, main)
+from qdsnet.files import read_announcement, read_store
 
 GOLDEN = str(pkg_files("qdsnet.data") / "table2_100km_AC.json")
 
@@ -47,7 +49,8 @@ def test_analyze_missing_field(workdir):
 
 
 def test_analyze_all_zero_tally(workdir):
-    doc = json.loads(open(GOLDEN).read())
+    with open(GOLDEN) as fh:
+        doc = json.load(fh)
     for k in doc["tally"]:
         if k != "accumulation_time_s":
             doc["tally"][k] = 0
@@ -108,6 +111,66 @@ def test_store_consumption_blocks_reuse(workdir):
     assert main(["verify", "--bundle", "b.bin", "--announce", "a.bin",
                  "--store", "k/bob.store",
                  "--share-out", "s2.bin"]) == EXIT_KEY_EXHAUSTED
+
+
+class Crash(Exception):
+    pass
+
+
+def _crash(*args):
+    raise Crash("injected crash")
+
+
+SIGN = ["sign", "--message", "doc.bin", "--store", "k/alice.store",
+        "--length", "64", "--out", "b.bin", "--announce", "a.bin",
+        "--position-seed", "3"]
+VERIFY = ["verify", "--bundle", "b.bin", "--announce", "a.bin",
+          "--store", "k/bob.store", "--share-out", "s.bin"]
+
+
+def _keys_and_doc(workdir):
+    main(["keygen-sim", "--bits", "1024", "--seed", "10", "--out-dir", "k"])
+    (workdir / "doc.bin").write_bytes(b"written in a crash-prone world")
+
+
+def test_sign_crash_after_store_write_spends_positions(workdir, monkeypatch):
+    _keys_and_doc(workdir)
+    with monkeypatch.context() as m:
+        m.setattr(qdsnet.files, "write_bundle", _crash)
+        with pytest.raises(Crash):
+            main(SIGN)
+    spent = set(np.flatnonzero(read_store("k/alice.store").used_mask))
+    assert len(spent) == 128
+    # the same position seed on the crashed store picks fresh positions
+    assert main(SIGN) == EXIT_OK
+    assert not spent & set(read_announcement("a.bin").positions)
+
+
+def test_verify_crash_after_store_write_spends_share(workdir, monkeypatch):
+    _keys_and_doc(workdir)
+    assert main(SIGN) == EXIT_OK
+    with monkeypatch.context() as m:
+        m.setattr(qdsnet.files, "write_share", _crash)
+        with pytest.raises(Crash):
+            main(VERIFY)
+    assert not (workdir / "s.bin").exists()
+    assert main(VERIFY) == EXIT_KEY_EXHAUSTED
+
+
+@pytest.mark.parametrize("argv, outputs", [
+    (SIGN, ("b.bin", "a.bin")), (VERIFY, ("s.bin",))], ids=["sign", "verify"])
+def test_failed_store_write_releases_nothing(workdir, monkeypatch, argv,
+                                             outputs):
+    _keys_and_doc(workdir)
+    if argv is VERIFY:
+        assert main(SIGN) == EXIT_OK
+    store = workdir / argv[argv.index("--store") + 1]
+    before = store.read_bytes()
+    monkeypatch.setattr(qdsnet.files, "write_store", _crash)
+    with pytest.raises(Crash):
+        main(argv)
+    assert store.read_bytes() == before
+    assert not any((workdir / name).exists() for name in outputs)
 
 
 def test_sign_exhausts_small_store(workdir):

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from qdsnet.divhash import HashSeed, derive_modulus, hash_document, xor_bytes
+from qdsnet.divhash import HashSeed, derive_modulus, hash_document
 from qdsnet.gf256 import Poly, is_irreducible
 
 from helpers import (batch_hash_deg2, slow_irreducible_low_degree,
@@ -127,12 +127,6 @@ def test_batch_hasher_matches_streaming():
     digests = batch_hash_deg2(msgs, p[1], p[2])
     for i in range(len(msgs)):
         assert bytes(digests[i]) == hash_document(msgs[i].tobytes(), seed)
-
-
-def test_xor_bytes():
-    assert xor_bytes(b"\x0f\xf0", b"\xff\xff") == b"\xf0\x0f"
-    with pytest.raises(ValueError):
-        xor_bytes(b"\x00", b"\x00\x00")
 
 
 def test_moduli_unchanged_at_signing_lengths():

@@ -3,14 +3,19 @@ import pytest
 
 from qdsnet import protocol
 from qdsnet.cascade import ReconciliationResult
-from qdsnet.framing import DecisionMsg
 from qdsnet.protocol import (DistributionError, KeyExhaustedError, KeyReuseError,
                              KeyStore, PositionAnnouncement, SignatureBundle,
-                             connect_parties, extract_share, run_distribution,
-                             run_messaging, select_positions, sign,
-                             verify_as_receiver)
+                             VerifyDecision, connect_parties, extract_share,
+                             run_distribution, run_messaging,
+                             select_positions, sign, verify_as_receiver)
 
 from helpers import synthetic_stores
+
+
+def _close(parties):
+    for party in parties.values():
+        for ep in party.endpoints.values():
+            ep.close()
 
 
 def _recon_pair(bits):
@@ -157,9 +162,12 @@ def test_messaging_honest_run(transport):
     alice, bob, charlie = synthetic_stores(4000, seed=47)
     parties, transcripts = connect_parties(alice, bob, charlie,
                                            transport=transport)
-    outcome = run_messaging(parties, b"hello three-party world",
-                            signature_len_bits=128, position_seed=1,
-                            p_seed=2, transcripts=transcripts)
+    try:
+        outcome = run_messaging(parties, b"hello three-party world",
+                                signature_len_bits=128, position_seed=1,
+                                p_seed=2, transcripts=transcripts)
+    finally:
+        _close(parties)
     assert outcome.status == "ok", outcome.error
     assert outcome.bob_decision == "accept"
     assert outcome.charlie_decision == "accept"
@@ -178,9 +186,7 @@ def test_messaging_large_document_over_sockets():
                                 position_seed=13, p_seed=14,
                                 transcripts=transcripts)
     finally:
-        for party in parties.values():
-            for ep in party.endpoints.values():
-                ep.close()
+        _close(parties)
     assert outcome.status == "ok", outcome.error
     assert (outcome.bob_decision, outcome.charlie_decision) == ("accept",
                                                                "accept")
@@ -276,15 +282,13 @@ def test_messaging_abort_on_out_of_order_frame(transport):
     alice, bob, charlie = synthetic_stores(4000, seed=54)
     parties, transcripts = connect_parties(alice, bob, charlie,
                                            transport=transport)
-    parties["alice"].endpoints["bob"].send(DecisionMsg("accept").encode())
+    parties["alice"].endpoints["bob"].send(VerifyDecision(True, "").encode())
     try:
         outcome = run_messaging(parties, b"stray frame", signature_len_bits=64,
                                 position_seed=15, p_seed=16,
                                 transcripts=transcripts)
     finally:
-        for party in parties.values():
-            for ep in party.endpoints.values():
-                ep.close()
+        _close(parties)
     assert outcome.status == "abort"
     assert outcome.error.startswith("bob: ProtocolError: ")
     assert "POSITION_ANNOUNCEMENT" in outcome.error
@@ -317,7 +321,7 @@ def test_messaging_abort_on_frame_after_role_is_done(monkeypatch):
 
     def chatty(*args):
         result, frames = yield from script(*args)
-        return result, frames + [("alice", DecisionMsg("accept").encode())]
+        return result, frames + [("alice", VerifyDecision(True, "").encode())]
 
     monkeypatch.setattr(protocol, "charlie_script", chatty)
     alice, bob, charlie = synthetic_stores(4000, seed=56)

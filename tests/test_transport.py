@@ -1,14 +1,26 @@
-import threading
+import time
 
 import pytest
 
-from qdsnet.framing import ControlMsg, Frame, MsgType, parse_payload
-from qdsnet.transport import (MemoryEndpoint, RecordingEndpoint,
-                              TransportError, memory_pair, socket_pair)
+from qdsnet.framing import Frame, MsgType, VerifyDecision, parse_payload
+from qdsnet.transport import (RecordingEndpoint, TransportError, memory_pair,
+                              socket_pair)
 
 
 def _frame(i):
-    return ControlMsg(kind="ping", fields={"i": i}).encode()
+    return VerifyDecision(accept=True, reason=f"ping {i}").encode()
+
+
+def _reason(frame):
+    return parse_payload(frame).reason
+
+
+@pytest.fixture(params=["memory", "socket"])
+def pair(request):
+    a, b = memory_pair() if request.param == "memory" else socket_pair()
+    yield a, b
+    a.close()
+    b.close()
 
 
 def test_memory_pair_bidirectional_fifo():
@@ -16,34 +28,27 @@ def test_memory_pair_bidirectional_fifo():
     for i in range(5):
         a.send(_frame(i))
     for i in range(5):
-        got = parse_payload(b.recv(timeout=1.0))
-        assert got.fields["i"] == i
+        assert _reason(b.recv()) == f"ping {i}"
     b.send(_frame(99))
-    assert parse_payload(a.recv(timeout=1.0)).fields["i"] == 99
+    assert _reason(a.recv()) == "ping 99"
 
 
-def test_memory_recv_timeout():
+def test_memory_recv_on_empty_channel():
     a, _ = memory_pair()
-    with pytest.raises(TransportError, match="timed out"):
-        a.recv(timeout=0.05)
+    start = time.monotonic()
+    with pytest.raises(TransportError, match="no frame"):
+        a.recv()
+    assert time.monotonic() - start < 1.0
 
 
 def test_memory_close_unblocks_peer():
+    # the peer's recv fails as closed, not as an empty channel
     a, b = memory_pair()
-    errors = []
-
-    def wait():
-        try:
-            b.recv(timeout=5.0)
-        except TransportError as exc:
-            errors.append(str(exc))
-
-    t = threading.Thread(target=wait)
-    t.start()
+    a.send(_frame(1))
     a.close()
-    t.join(timeout=2.0)
-    assert not t.is_alive()
-    assert errors and "closed" in errors[0]
+    assert _reason(b.recv()) == "ping 1"
+    with pytest.raises(TransportError, match="closed"):
+        b.recv()
 
 
 def test_socket_pair_transparency():
@@ -52,9 +57,9 @@ def test_socket_pair_transparency():
         for i in range(3):
             a.send(_frame(i))
         for i in range(3):
-            assert parse_payload(b.recv(timeout=2.0)).fields["i"] == i
+            assert _reason(b.recv()) == f"ping {i}"
         b.send(_frame(7))
-        assert parse_payload(a.recv(timeout=2.0)).fields["i"] == 7
+        assert _reason(a.recv()) == "ping 7"
     finally:
         a.close()
         b.close()
@@ -67,22 +72,24 @@ def test_socket_large_payload():
     a, b = socket_pair()
     payload = bytes(range(256)) * 2000   # 512 KB
     try:
-        a.send(Frame(MsgType.CONTROL, payload))
+        a.send(Frame(MsgType.SIGNATURE_BUNDLE, payload))
         a.send(_frame(1))
-        assert b.recv(timeout=5.0).payload == payload
-        assert parse_payload(b.recv(timeout=1.0)).fields["i"] == 1
-        b.send(Frame(MsgType.CONTROL, payload[::-1]))
-        assert a.recv(timeout=5.0).payload == payload[::-1]
+        assert b.recv().payload == payload
+        assert _reason(b.recv()) == "ping 1"
+        b.send(Frame(MsgType.SIGNATURE_BUNDLE, payload[::-1]))
+        assert a.recv().payload == payload[::-1]
     finally:
         a.close()
         b.close()
 
 
-def test_socket_recv_timeout():
+def test_socket_recv_on_empty_channel():
     a, b = socket_pair()
     try:
-        with pytest.raises(TransportError, match="timed out"):
-            a.recv(timeout=0.05)
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="no frame"):
+            a.recv()
+        assert time.monotonic() - start < 1.0
     finally:
         a.close()
         b.close()
@@ -92,8 +99,18 @@ def test_socket_close_breaks_recv():
     a, b = socket_pair()
     a.close()
     with pytest.raises(TransportError):
-        b.recv(timeout=1.0)
+        b.recv()
     b.close()
+
+
+def test_ping_pong(pair):
+    a, b = pair
+    for i in range(50):
+        a.send(_frame(i))
+        b.send(b.recv())
+        assert _reason(a.recv()) == f"ping {i}"
+    with pytest.raises(TransportError, match="no frame"):
+        b.recv()
 
 
 def test_recording_endpoint_transcript():
@@ -101,13 +118,13 @@ def test_recording_endpoint_transcript():
     ra = RecordingEndpoint(a, [])
     rb = RecordingEndpoint(b, [])
     ra.send(_frame(1))
-    rb.recv(timeout=1.0)
+    rb.recv()
     rb.send(_frame(2))
-    ra.recv(timeout=1.0)
+    ra.recv()
 
     assert [e.direction for e in ra.log] == ["send", "recv"]
     assert [e.direction for e in rb.log] == ["recv", "send"]
-    assert all(e.msg_type == "CONTROL" for e in ra.log)
+    assert all(e.msg_type == "DECISION" for e in ra.log)
     assert all(e.payload_len > 0 for e in ra.log)
     d = ra.log[0].to_dict()
     assert set(d) >= {"direction", "msg_type", "payload_len"}
@@ -126,29 +143,11 @@ def test_recording_endpoint_details():
     a.close()
 
 
-def test_threaded_ping_pong():
-    a, b = memory_pair()
-    n = 50
-
-    def echo():
-        for _ in range(n):
-            frame = b.recv(timeout=2.0)
-            b.send(frame)
-
-    t = threading.Thread(target=echo)
-    t.start()
-    for i in range(n):
-        a.send(_frame(i))
-        assert parse_payload(a.recv(timeout=2.0)).fields["i"] == i
-    t.join(timeout=2.0)
-    assert not t.is_alive()
-
-
 def test_recording_endpoint_tolerates_short_payloads():
     a, b = memory_pair()
     rb = RecordingEndpoint(b, [])
     for msg_type in (MsgType.PARITY_ANSWER, MsgType.PARITY_REQUEST,
                      MsgType.TAG_EXCHANGE):
         a.send(Frame(msg_type, b""))
-        assert rb.recv(timeout=1.0).payload == b""
+        assert rb.recv().payload == b""
     assert [e.detail for e in rb.log] == [None, None, None]
