@@ -10,13 +10,17 @@ reference maps each request frame to its reply, the corrector is a
 generator that yields requests and is sent the replies, and reconcile()
 drives both from the calling thread over a frame channel.
 
-Passes after the first reshuffle with larger blocks; each flip toggles
-the bookkeeping of every earlier pass's block containing that position,
-re-queueing blocks whose parity now mismatches (cross-pass error
+Each chunk runs MIN_PASSES passes, then more while the latest found
+errors, up to MAX_TOTAL_PASSES; later passes reshuffle with larger
+blocks.  The corrector keeps a mismatch flag per block of every pass.
+Each flip toggles the flag of the block holding that position in every
+pass, re-queueing blocks whose parity now mismatches (cross-pass error
 back-propagation).  Mismatched blocks of one pass are binary-searched in
-lockstep, one batched parity request per depth level, which keeps
-round-trips logarithmic while leaving the per-bit disclosure count
-identical to sequential search.
+lockstep as lo/hi arrays, one batched request of (chunk, pass, lo, hi)
+rows per depth level, which keeps round-trips logarithmic while leaving
+the per-bit disclosure count identical to sequential search.  Both
+roles keep prefix parities P with P[0] = 0, so [lo, hi) has parity
+P[hi] ^ P[lo].
 
 Verification exchanges a short universal-hash tag: a polynomial
 evaluation hash over GF(2^64) keyed by the shared seed, followed by a
@@ -37,6 +41,7 @@ import numpy as np
 from .framing import (Frame, FrameError, MsgType, ParityAnswer,
                       ParityRequest, TagExchange, pack_bits, parse_payload)
 
+MIN_PASSES = 3
 MAX_TOTAL_PASSES = 20
 _MASK64 = (1 << 64) - 1
 _POLY64_LOW = 0x1B  # x^64 + x^4 + x^3 + x + 1
@@ -44,23 +49,15 @@ _POLY64_LOW = 0x1B  # x^64 + x^4 + x^3 + x + 1
 
 @dataclass(frozen=True)
 class ReconciliationConfig:
-    """Shared parameters of one reconciliation session.
-
-    passes counts the shuffled passes after the first (the default 2
-    gives 3 passes total).  Extra passes beyond the minimum keep running
-    while the latest pass still found errors, up to MAX_TOTAL_PASSES.
-    """
+    """Shared parameters of one reconciliation session."""
 
     round_key_len: int = 1_000_000
-    passes: int = 2
     eps_cor: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.round_key_len < 1:
             raise ValueError("round_key_len must be >= 1")
-        if self.passes < 2:
-            raise ValueError("passes must be >= 2")
         if not 0 < self.eps_cor < 1:
             raise ValueError("eps_cor must be in (0, 1)")
 
@@ -112,28 +109,17 @@ def _session_tables(seed: int) -> tuple[tuple, int]:
     while beta == 0:
         beta = int(rng.integers(0, 1 << 64, dtype=np.uint64))
 
-    pows = []
-    x = alpha
-    for _ in range(8):
-        pows.append(x)
-        x = _xtime64(x)
-    t0 = []
-    for b in range(256):
-        acc = 0
-        for i in range(8):
-            if (b >> i) & 1:
-                acc ^= pows[i]
-        t0.append(acc)
-    tables = [t0]
-    for _ in range(7):
-        prev = tables[-1]
-        nxt = []
-        for v in prev:
-            for _ in range(8):
-                v = _xtime64(v)
-            nxt.append(v)
-        tables.append(nxt)
-    return tuple(tuple(t) for t in tables), beta
+    pows = [alpha]  # alpha * x^i for i < 64
+    for _ in range(63):
+        pows.append(_xtime64(pows[-1]))
+    tables = []
+    for j in range(0, 64, 8):
+        # entry b is the product of byte b, as a polynomial, with x^j alpha
+        table = [0]
+        for p in pows[j:j + 8]:
+            table += [v ^ p for v in table]
+        tables.append(tuple(table))
+    return tuple(tables), beta
 
 
 def tag_bit_count(eps_cor: float) -> int:
@@ -182,12 +168,19 @@ def verify(key_a, key_b, eps_cor: float, seed: int) -> tuple[bool, int]:
 def _pass_permutation(seed: int, chunk: int, pass_id: int, m: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(seed,
                                                        spawn_key=(chunk, pass_id)))
-    return rng.permutation(m).astype(np.int64)
+    return rng.permutation(m)
 
 
 def _chunk_bounds(n: int, round_key_len: int) -> list[tuple[int, int]]:
     return [(s, min(s + round_key_len, n))
             for s in range(0, n, round_key_len)] or [(0, 0)]
+
+
+def _prefix_parities(bits: np.ndarray) -> np.ndarray:
+    """P with P[0] = 0 and P[i] the parity of bits[:i]."""
+    prefix = np.zeros(len(bits) + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate(bits, out=prefix[1:])
+    return prefix
 
 
 # --- party roles ------------------------------------------------------------
@@ -214,38 +207,48 @@ class ReferenceRole:
         if cached is None:
             start, end = self._bounds[chunk]
             perm = _pass_permutation(self.cfg.seed, chunk, pass_id, end - start)
-            cached = np.bitwise_xor.accumulate(self.key[start:end][perm])
+            cached = _prefix_parities(self.key[start:end][perm])
             self._prefix_cache[(chunk, pass_id)] = cached
         return cached
 
-    def _check(self, items) -> None:
-        for item in items:
-            chunk, pass_id, lo, hi = item
-            start, end = (self._bounds[chunk] if chunk < len(self._bounds)
-                          else (0, 0))
-            # passes open in order: pass p follows a request on pass p - 1
-            reachable = (pass_id == 1
-                         or (chunk, pass_id - 1) in self._prefix_cache)
-            if not (reachable and pass_id <= MAX_TOTAL_PASSES
-                    and lo < hi <= end - start):
-                raise FrameError(f"parity request {item} out of range")
+    def _limit(self, chunk: int, pass_id: int) -> int:
+        """Largest hi a request may name on this pair; 0 if none."""
+        # passes open in order: pass p follows a request on pass p - 1
+        reachable = (pass_id == 1
+                     or (chunk, pass_id - 1) in self._prefix_cache)
+        if not (chunk < len(self._bounds) and reachable
+                and pass_id <= MAX_TOTAL_PASSES):
+            return 0
+        start, end = self._bounds[chunk]
+        return end - start
+
+    def _parities(self, items: np.ndarray) -> np.ndarray:
+        # (chunk, pass) as one key; both fields are 16-bit on the wire
+        keys, pair_of = np.unique(items[:, 0] << 16 | items[:, 1],
+                                  return_inverse=True)
+        pairs = [divmod(key, 1 << 16) for key in keys.tolist()]
+        limits = np.array([self._limit(c, p) for c, p in pairs],
+                          dtype=np.int64)
+        lo, hi = items[:, 2], items[:, 3]
+        bad = ~((lo < hi) & (hi <= limits[pair_of]))
+        if bad.any():
+            row = items[bad.argmax()].tolist()
+            raise FrameError(f"parity request {row} out of range")
+        bits = np.empty(len(items), dtype=np.uint8)
+        for j, (chunk, pass_id) in enumerate(pairs):
+            rows = pair_of == j
+            prefix = self._prefix(chunk, pass_id)
+            bits[rows] = prefix[hi[rows]] ^ prefix[lo[rows]]
+        return bits
 
     def answer(self, frame: Frame) -> Frame:
         """Reply to one PARITY_REQUEST or the closing TAG_EXCHANGE."""
         if self._done:
             raise FrameError("session already verified")
         if frame.msg_type == MsgType.PARITY_REQUEST:
-            items = parse_payload(frame).items
-            self._check(items)
-            bits = []
-            for (chunk, pass_id, lo, hi) in items:
-                prefix = self._prefix(chunk, pass_id)
-                par = prefix[hi - 1]
-                if lo:
-                    par ^= prefix[lo - 1]
-                bits.append(int(par))
+            bits = self._parities(parse_payload(frame).items)
             self.leakage += len(bits)
-            return ParityAnswer(tuple(bits)).encode()
+            return ParityAnswer(bits).encode()
         if frame.msg_type == MsgType.TAG_EXCHANGE:
             theirs = parse_payload(frame)
             n_bits, tag = _hash_tag(self.key, self.cfg.eps_cor, self.cfg.seed)
@@ -270,110 +273,81 @@ class CorrectorRole:
         self.estimate = qber_estimate
         self.leakage = 0
 
-    def _ask(self, items: list):
-        answer = parse_payload((yield ParityRequest(tuple(items)).encode()))
-        if len(answer.bits) != len(items):
+    def _ask(self, chunk: int, pass_id: int, lo, hi):
+        """Reference parities of the ranges [lo, hi) of one pass."""
+        rows = np.column_stack(np.broadcast_arrays(chunk, pass_id, lo, hi))
+        answer = parse_payload((yield ParityRequest(rows).encode()))
+        if len(answer.bits) != len(rows):
             raise ValueError("parity answer count mismatch")
         self.leakage += len(answer.bits)
         return answer.bits
 
-    def _wave(self, chunk_idx: int, pass_id: int, blocks: list,
-              key_chunk: np.ndarray, passes_info: dict, diff_sets: dict):
-        """Binary-search every listed block of one pass in lockstep.
+    def _wave(self, chunk_idx: int, passes: list, q: int,
+              key_chunk: np.ndarray):
+        """Binary-search every mismatched block of pass q in lockstep.
 
-        All listed blocks currently have odd parity mismatch; blocks of
-        one pass are disjoint, so the searches interact only through the
-        flips applied after every search has resolved.
+        Blocks of one pass are disjoint, so the searches interact only
+        through the flips applied after every search has resolved.
+        Returns the number of bits flipped.
         """
-        info = passes_info[pass_id]
-        perm, k = info["perm"], info["k"]
+        perm, _, k, mismatch = passes[q]
         m = len(perm)
-        prefix = np.bitwise_xor.accumulate(key_chunk[perm])
+        prefix = _prefix_parities(key_chunk[perm])
+        lo = np.flatnonzero(mismatch) * k
+        hi = np.minimum(lo + k, m)
+        active = np.flatnonzero(hi - lo > 1)
+        while active.size:
+            a_lo, a_hi = lo[active], hi[active]
+            mid = (a_lo + a_hi) // 2
+            ref_left = yield from self._ask(chunk_idx, q + 1, a_lo, mid)
+            left_has_error = (prefix[mid] ^ prefix[a_lo]) != ref_left
+            hi[active] = np.where(left_has_error, mid, a_hi)
+            lo[active] = np.where(left_has_error, a_lo, mid)
+            active = active[hi[active] - lo[active] > 1]
 
-        def own(lo: int, hi: int) -> int:
-            p = int(prefix[hi - 1])
-            if lo:
-                p ^= int(prefix[lo - 1])
-            return p
-
-        intervals = [[b * k, min((b + 1) * k, m)] for b in blocks]
-        active = [iv for iv in intervals if iv[1] - iv[0] > 1]
-        while active:
-            items = [(chunk_idx, pass_id, iv[0], (iv[0] + iv[1]) // 2)
-                     for iv in active]
-            answers = yield from self._ask(items)
-            for iv, ref_left in zip(active, answers):
-                mid = (iv[0] + iv[1]) // 2
-                if own(iv[0], mid) != ref_left:
-                    iv[1] = mid
-                else:
-                    iv[0] = mid
-            active = [iv for iv in active if iv[1] - iv[0] > 1]
-
-        for iv in intervals:
-            rel = int(perm[iv[0]])
-            key_chunk[rel] ^= 1
-            for r, rinfo in passes_info.items():
-                blk = int(rinfo["inv"][rel]) // rinfo["k"]
-                s = diff_sets[r]
-                if blk in s:
-                    s.discard(blk)
-                else:
-                    s.add(blk)
-        return len(intervals)
+        rel = perm[lo]
+        key_chunk[rel] ^= 1
+        for _, inv, k_r, mismatch_r in passes:
+            np.logical_xor.at(mismatch_r, inv[rel] // k_r, True)
+        return len(rel)
 
     def _run_chunk(self, chunk_idx: int, start: int, end: int):
         m = end - start
         if m == 0:
             return 0
         key_chunk = self.key[start:end]
-        passes_info: dict[int, dict] = {}
-        diff_sets: dict[int, set] = {}
-        min_total = self.cfg.passes + 1
-        pass_id = 0
-        k_prev = 0
+        passes = []  # per pass: (perm, inverse, k, block mismatch flags)
         found_pass1 = 0
         while True:
-            pass_id += 1
+            pass_id = len(passes) + 1
             if pass_id == 1:
                 k = block_length(self.estimate, self.cfg.round_key_len)
             elif pass_id == 2:
                 k = block_length(max(found_pass1 / m, 0.001),
                                  self.cfg.round_key_len)
             else:
-                k = 2 * k_prev
+                k = 2 * passes[-1][2]
             k = max(1, min(k, m))
-            k_prev = k
 
             perm = _pass_permutation(self.cfg.seed, chunk_idx, pass_id, m)
             starts = np.arange(0, m, k)
-            items = [(chunk_idx, pass_id, int(s), int(min(s + k, m)))
-                     for s in starts]
-            ref_par = yield from self._ask(items)
+            ref_par = yield from self._ask(chunk_idx, pass_id, starts,
+                                           np.minimum(starts + k, m))
             own = np.bitwise_xor.reduceat(key_chunk[perm], starts)
             inv = np.empty_like(perm)
             inv[perm] = np.arange(m)
-            passes_info[pass_id] = {"perm": perm, "inv": inv, "k": k}
-            diff_sets[pass_id] = {i for i in range(len(starts))
-                                  if int(own[i]) != ref_par[i]}
+            passes.append((perm, inv, k, own != ref_par))
 
             flips = 0
-            while True:
-                pending = [r for r, s in diff_sets.items() if s]
-                if not pending:
-                    break
-                q = min(pending, key=lambda r: passes_info[r]["k"])
-                flips += yield from self._wave(chunk_idx, q,
-                                               sorted(diff_sets[q]),
-                                               key_chunk, passes_info,
-                                               diff_sets)
+            while pending := [r for r, p in enumerate(passes) if p[3].any()]:
+                # smallest blocks first; ties go to the earlier pass
+                q = min(pending, key=lambda r: passes[r][2])
+                flips += yield from self._wave(chunk_idx, passes, q, key_chunk)
             if pass_id == 1:
                 found_pass1 = flips
-            if pass_id >= min_total and flips == 0:
-                break
-            if pass_id >= MAX_TOTAL_PASSES:
-                break
-        return pass_id
+            if (pass_id >= MIN_PASSES and flips == 0) \
+                    or pass_id >= MAX_TOTAL_PASSES:
+                return pass_id
 
     def run(self):
         """Reconcile every chunk, then exchange verification tags.

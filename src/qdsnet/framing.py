@@ -6,15 +6,16 @@ Each message is one frozen dataclass that is also its own codec
 (encode() -> Frame, decode(payload)): the parity request, parity answer
 and tag of reconciliation, and the position announcement, signature
 bundle, key share and decision of a signing round, which protocol uses
-and re-exports.  Payload layouts are fixed-width big-endian structs, so
-the layer stays bit-exact across transports, and bundle, announcement
-and share files hold the same frames.
+and re-exports.  Payload layouts are fixed-width big-endian structs (a
+parity request is an array of them, its answer packed bits), so the
+layer stays bit-exact across transports, and bundle, announcement and
+share files hold the same frames.  Array fields compare by value.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
@@ -80,43 +81,79 @@ def unpack_bits(data: bytes, n: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n)
 
 
+def _as_bits(bits) -> np.ndarray:
+    arr = np.asarray(bits, dtype=np.uint8)
+    if arr.ndim != 1 or (arr.size and arr.max() > 1):
+        raise ValueError("expected a flat 0/1 bit array")
+    return arr
+
+
+class _FieldwiseEq:
+    """== over the dataclass fields; array fields compare by value."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        values = [(getattr(self, f.name), getattr(other, f.name))
+                  for f in fields(self)]
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray)
+                   else a == b for a, b in values)
+
+
 # --- typed payloads -------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParityRequest:
-    """Batch of half-open index ranges, in permuted coordinates."""
+_PARITY_ROW = np.dtype([("chunk", ">u2"), ("pass_id", ">u2"),
+                        ("lo", ">u4"), ("hi", ">u4")])
 
-    items: tuple  # of (chunk, pass_id, lo, hi)
+
+@dataclass(frozen=True, eq=False)
+class ParityRequest(_FieldwiseEq):
+    """Half-open index ranges in permuted coordinates: an (n, 4) int64
+    array of (chunk, pass_id, lo, hi) rows."""
+
+    items: np.ndarray
+
+    def __post_init__(self):
+        items = np.asarray(self.items, dtype=np.int64).reshape(-1, 4)
+        object.__setattr__(self, "items", items)
 
     def encode(self) -> Frame:
-        parts = [struct.pack(">I", len(self.items))]
-        parts += [struct.pack(">HHII", c, p, lo, hi)
-                  for (c, p, lo, hi) in self.items]
-        return Frame(MsgType.PARITY_REQUEST, b"".join(parts))
+        rows = np.empty(len(self.items), dtype=_PARITY_ROW)
+        for name, column in zip(_PARITY_ROW.names, self.items.T):
+            rows[name] = column
+            if not np.array_equal(rows[name], column):
+                raise ValueError(f"parity request {name} out of wire range")
+        payload = struct.pack(">I", len(rows)) + rows.tobytes()
+        return Frame(MsgType.PARITY_REQUEST, payload)
 
     @classmethod
     def decode(cls, payload: bytes) -> "ParityRequest":
         (count,) = struct.unpack_from(">I", payload, 0)
-        if len(payload) != 4 + 12 * count:
+        if len(payload) != 4 + _PARITY_ROW.itemsize * count:
             raise FrameError("parity request length does not match count")
-        return cls(items=tuple(struct.iter_unpack(">HHII", payload[4:])))
+        rows = np.frombuffer(payload, dtype=_PARITY_ROW, offset=4)
+        return cls(np.column_stack([rows[f] for f in _PARITY_ROW.names]))
 
 
-@dataclass(frozen=True)
-class ParityAnswer:
-    """One parity bit per requested range, in request order."""
+@dataclass(frozen=True, eq=False)
+class ParityAnswer(_FieldwiseEq):
+    """One parity bit per requested range, in request order (uint8)."""
 
-    bits: tuple
+    bits: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "bits", _as_bits(self.bits))
 
     def encode(self) -> Frame:
-        payload = struct.pack(">I", len(self.bits)) + pack_bits(list(self.bits))
+        payload = struct.pack(">I", len(self.bits)) + pack_bits(self.bits)
         return Frame(MsgType.PARITY_ANSWER, payload)
 
     @classmethod
     def decode(cls, payload: bytes) -> "ParityAnswer":
         (count,) = struct.unpack_from(">I", payload, 0)
-        bits = unpack_bits(payload[4:], count)
-        return cls(bits=tuple(int(b) for b in bits))
+        if len(payload) != 4 + (count + 7) // 8:
+            raise FrameError("parity answer length does not match count")
+        return cls(unpack_bits(payload[4:], count))
 
 
 @dataclass(frozen=True)
@@ -141,13 +178,6 @@ class TagExchange:
 
 ROLE_CODES = {"alice": 0, "bob": 1, "charlie": 2}
 ROLE_NAMES = {v: k for k, v in ROLE_CODES.items()}
-
-
-def _as_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1 or (arr.size and arr.max() > 1):
-        raise ValueError("expected a flat 0/1 bit array")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -180,8 +210,8 @@ class PositionAnnouncement:
         return cls(positions=tuple(int(p) for p in arr))
 
 
-@dataclass(frozen=True)
-class SignatureBundle:
+@dataclass(frozen=True, eq=False)
+class SignatureBundle(_FieldwiseEq):
     """{Sig, M, P_a} as transmitted from the signer to the first receiver."""
 
     sig: np.ndarray
@@ -207,20 +237,17 @@ class SignatureBundle:
     @classmethod
     def decode(cls, payload: bytes) -> "SignatureBundle":
         sig_len, msg_len = struct.unpack_from(">II", payload, 0)
-        off = 8
-        sig = payload[off:off + sig_len]
-        off += sig_len
-        message = payload[off:off + msg_len]
-        off += msg_len
-        p_a = payload[off:off + sig_len]
-        if len(sig) != sig_len or len(message) != msg_len or len(p_a) != sig_len:
-            raise FrameError("bundle payload truncated")
+        if len(payload) != 8 + 2 * sig_len + msg_len:
+            raise FrameError("bundle length does not match its fields")
+        msg_end = 8 + sig_len + msg_len
         n = 8 * sig_len
-        return cls(unpack_bits(sig, n), message, unpack_bits(p_a, n))
+        return cls(unpack_bits(payload[8:8 + sig_len], n),
+                   payload[8 + sig_len:msg_end],
+                   unpack_bits(payload[msg_end:], n))
 
 
-@dataclass(frozen=True)
-class KeyShare:
+@dataclass(frozen=True, eq=False)
+class KeyShare(_FieldwiseEq):
     """One receiver's halves of the announced positions."""
 
     x_key: np.ndarray
@@ -243,12 +270,11 @@ class KeyShare:
         code, klen = struct.unpack_from(">BI", payload, 0)
         if code not in ROLE_NAMES:
             raise FrameError(f"unknown role code {code}")
-        x = payload[5:5 + klen]
-        y = payload[5 + klen:5 + 2 * klen]
-        if len(x) != klen or len(y) != klen:
-            raise FrameError("key share payload truncated")
+        if len(payload) != 5 + 2 * klen:
+            raise FrameError("key share length does not match its fields")
         n = 8 * klen
-        return cls(unpack_bits(x, n), unpack_bits(y, n), ROLE_NAMES[code])
+        return cls(unpack_bits(payload[5:5 + klen], n),
+                   unpack_bits(payload[5 + klen:], n), ROLE_NAMES[code])
 
 
 @dataclass(frozen=True)

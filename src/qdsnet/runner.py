@@ -71,7 +71,6 @@ class RunConfig:
     transport: str = "inproc"
     tamper: bool = False
     protocol_seed: int = 2024
-    ec_passes: int = 2
 
     def __post_init__(self):
         if self.transport not in ("inproc", "socket"):
@@ -90,8 +89,7 @@ class RunConfig:
                    message_path=d["message_path"],
                    transport=d.get("transport", "inproc"),
                    tamper=bool(d.get("tamper", False)),
-                   protocol_seed=int(d.get("protocol_seed", 2024)),
-                   ec_passes=int(d.get("ec_passes", 2)))
+                   protocol_seed=int(d.get("protocol_seed", 2024)))
 
     @classmethod
     def from_json(cls, path: str) -> "RunConfig":
@@ -104,8 +102,7 @@ class RunConfig:
                 "targets": vars(self.targets).copy(),
                 "message_path": self.message_path,
                 "transport": self.transport, "tamper": self.tamper,
-                "protocol_seed": self.protocol_seed,
-                "ec_passes": self.ec_passes}
+                "protocol_seed": self.protocol_seed}
 
 
 def _derived_seed(root: int, *key: int) -> int:
@@ -158,8 +155,7 @@ def run_simulation(config: RunConfig,
     qber = {}
     for idx, (name, batch) in enumerate(batches.items()):
         ec_cfg = ReconciliationConfig(
-            round_key_len=1_000_000, passes=config.ec_passes,
-            eps_cor=config.targets.eps_cor,
+            round_key_len=1_000_000, eps_cor=config.targets.eps_cor,
             seed=_derived_seed(config.protocol_seed, 1, idx))
         cor, ref = reconcile(batch.alice_bits, batch.sender_bits, ec_cfg)
         if not (cor.verified and ref.verified):

@@ -277,3 +277,45 @@ def keyed_tally(name: str):
                 row["link"].replace("-", "") == name.split("_")[1]:
             return row_inputs(row)
     raise KeyError(name)
+
+
+# ---------------------------------------------------------------------------
+# Per-item parity answers, the reference for ReferenceRole's array form
+
+
+def slow_parities(key, cfg, opened: set, items) -> list[int]:
+    """Parity of each (chunk, pass, lo, hi) row, one row at a time.
+
+    opened holds the (chunk, pass) pairs answered by earlier requests
+    and gains the pairs this one answers.  Every row is checked first:
+    one naming a missing chunk, a pass not yet reachable or a range
+    outside its chunk raises FrameError and leaves opened unchanged.
+    """
+    from qdsnet.cascade import MAX_TOTAL_PASSES
+    from qdsnet.framing import FrameError
+    n, step = len(key), cfg.round_key_len
+    bounds = [(s, min(s + step, n)) for s in range(0, n, step)] or [(0, 0)]
+    for item in items:
+        chunk, pass_id, lo, hi = item
+        start, end = bounds[chunk] if chunk < len(bounds) else (0, 0)
+        # passes open in order: pass p follows a request on pass p - 1
+        reachable = pass_id == 1 or (chunk, pass_id - 1) in opened
+        if not (reachable and pass_id <= MAX_TOTAL_PASSES
+                and lo < hi <= end - start):
+            raise FrameError(f"parity request {item} out of range")
+    prefixes = {}
+    bits = []
+    for chunk, pass_id, lo, hi in items:
+        if (chunk, pass_id) not in prefixes:
+            start, end = bounds[chunk]
+            rng = np.random.default_rng(
+                np.random.SeedSequence(cfg.seed, spawn_key=(chunk, pass_id)))
+            shuffled = np.asarray(key[start:end])[rng.permutation(end - start)]
+            prefixes[chunk, pass_id] = np.bitwise_xor.accumulate(shuffled)
+        prefix = prefixes[chunk, pass_id]
+        par = int(prefix[hi - 1])
+        if lo:
+            par ^= int(prefix[lo - 1])
+        bits.append(par)
+    opened.update(prefixes)
+    return bits

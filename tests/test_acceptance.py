@@ -273,7 +273,7 @@ def test_criterion_4_reconciliation(capsys):
             noisy = ref.copy()
             noisy[rng.choice(n, n_err, replace=False)] ^= 1
 
-            cfg = ReconciliationConfig(round_key_len=n, passes=2,
+            cfg = ReconciliationConfig(round_key_len=n,
                                        eps_cor=1e-10, seed=seed)
             transcript = []
             cor, srv = reconcile(noisy, ref, cfg, transcript=transcript)

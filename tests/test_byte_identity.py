@@ -1,7 +1,9 @@
 """Pinned digests of deterministic outputs.
 
-Each digest was recorded before the parties became synchronous frame
-handlers; restructuring the roles or the transports must leave every
+The outcome digests and the 30 kbit transcript were recorded before the
+parties became synchronous frame handlers; the extra-pass transcript
+and the verification tags before reconciliation moved to arrays.
+Restructuring the roles, the codecs or the transports must leave every
 one of them unchanged.
 """
 
@@ -10,7 +12,8 @@ import json
 
 import numpy as np
 
-from qdsnet.cascade import ReconciliationConfig, reconcile
+from qdsnet.cascade import ReconciliationConfig, ReferenceRole, reconcile
+from qdsnet.framing import TagExchange, parse_payload
 from qdsnet.runner import outcome_to_json, run_simulation
 
 from test_runner import MESSAGE, _small_config
@@ -32,26 +35,53 @@ def test_outcome_digest_tampered():
         "7c4b670e43ed7ae9e7bafefb3aa0cafbc008a7ff46c5d64597662a304cf556cf")
 
 
-def test_reconcile_transcript_digest():
-    rng = np.random.default_rng(2024)
-    ref = rng.integers(0, 2, 30_000, dtype=np.uint8)
+def _reconcile_digest(n, n_err, seed, cfg):
+    """(log length, corrector summary, sha256 of transcript and results)."""
+    rng = np.random.default_rng(seed)
+    ref = rng.integers(0, 2, n, dtype=np.uint8)
     noisy = ref.copy()
-    noisy[rng.choice(30_000, 600, replace=False)] ^= 1
+    noisy[rng.choice(n, n_err, replace=False)] ^= 1
     log = []
-    cor, rr = reconcile(noisy, ref,
-                        ReconciliationConfig(round_key_len=10_000, seed=5),
-                        transcript=log)
+    cor, rr = reconcile(noisy, ref, cfg, transcript=log)
 
     def summary(res):
         key = hashlib.sha256(np.packbits(res.corrected_key).tobytes())
         return [key.hexdigest(), res.leakage_bits, res.verified,
                 res.rounds_used]
 
+    assert summary(cor) == summary(rr)
     doc = json.dumps({"transcript": [e.to_dict() for e in log],
                       "corrector": summary(cor), "reference": summary(rr)},
                      sort_keys=True)
-    assert len(log) == 226
-    assert summary(cor) == summary(rr)
-    assert summary(cor)[1:] == [4895, True, 10]
-    assert _sha256(doc) == (
+    return len(log), summary(cor)[1:], _sha256(doc)
+
+
+def test_reconcile_transcript_digest():
+    cfg = ReconciliationConfig(round_key_len=10_000, seed=5)
+    assert _reconcile_digest(30_000, 600, 2024, cfg) == (
+        226, [4895, True, 10],
         "f9863a172bbb687f1ebeb14e3245cf8640b2532100f36d5f402ffbb3ddb4abfd")
+
+
+def test_reconcile_extra_pass_digest():
+    # 5% errors in one chunk: a fourth pass runs, so the pin covers the
+    # pass choice and the flip bookkeeping after the minimum passes
+    cfg = ReconciliationConfig(round_key_len=1_000_000, seed=5)
+    assert _reconcile_digest(50_000, 2_500, 33, cfg) == (
+        120, [17165, True, 4],
+        "8aef908b62078d9a7036603ff8dba8997f86b5ad3c6d8ba58cdb30a1c5484ad3")
+
+
+def test_verification_tags():
+    # the tag is never on a transcript, and both sides compute it alike,
+    # so only a pin notices a change to the hash tables
+    key = np.random.default_rng(2024).integers(0, 2, 10_001, dtype=np.uint8)
+    tags = []
+    for seed in (0, 1, 2**63 + 5):
+        for eps_cor in (1e-10, 1e-19):          # 34- and 64-bit tags
+            ref = ReferenceRole(key, ReconciliationConfig(eps_cor=eps_cor,
+                                                          seed=seed))
+            reply = ref.answer(TagExchange(1, b"\x00").encode())
+            tags.append(parse_payload(reply).tag.hex())
+    assert tags == ["03f3a62447", "82a9bfb7f3a62447", "03f6d3c657",
+                    "7287701ff6d3c657", "03ce9d4f01", "adf3e95bce9d4f01"]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdsnet.cascade import (MAX_TOTAL_PASSES, ReconciliationConfig,
                             ReferenceRole, block_length, reconcile,
@@ -9,6 +11,8 @@ from qdsnet.cascade import (MAX_TOTAL_PASSES, ReconciliationConfig,
 from qdsnet.finitekey import binary_entropy
 from qdsnet.framing import (FrameError, ParityRequest, TagExchange,
                             VerifyDecision, parse_payload)
+
+from helpers import slow_parities
 
 
 def _pair(n, n_err, seed):
@@ -64,7 +68,7 @@ def test_verify_seed_dependence():
 
 def test_identical_inputs_leakage_identity():
     n = 100_000
-    cfg = ReconciliationConfig(round_key_len=1_000_000, passes=2,
+    cfg = ReconciliationConfig(round_key_len=1_000_000,
                                eps_cor=1e-10, seed=3)
     noisy, ref = _pair(n, 0, seed=32)
     cor, srv = reconcile(noisy, ref, cfg)
@@ -80,7 +84,7 @@ def test_identical_inputs_leakage_identity():
 @pytest.mark.parametrize("rate", [0.005, 0.01, 0.02])
 def test_planted_errors_corrected(rate):
     n = 100_000
-    cfg = ReconciliationConfig(round_key_len=1_000_000, passes=2,
+    cfg = ReconciliationConfig(round_key_len=1_000_000,
                                eps_cor=1e-10, seed=4)
     noisy, ref = _pair(n, int(rate * n), seed=hash(rate) % 2**32)
     cor, srv = reconcile(noisy, ref, cfg)
@@ -93,7 +97,7 @@ def test_planted_errors_corrected(rate):
 
 def test_high_error_rate_needs_extra_passes_but_converges():
     n = 50_000
-    cfg = ReconciliationConfig(round_key_len=1_000_000, passes=2,
+    cfg = ReconciliationConfig(round_key_len=1_000_000,
                                eps_cor=1e-10, seed=5)
     noisy, ref = _pair(n, int(0.05 * n), seed=33)
     cor, srv = reconcile(noisy, ref, cfg)
@@ -103,7 +107,7 @@ def test_high_error_rate_needs_extra_passes_but_converges():
 
 def test_efficiency_reasonable_at_one_percent():
     n = 200_000
-    cfg = ReconciliationConfig(round_key_len=1_000_000, passes=2,
+    cfg = ReconciliationConfig(round_key_len=1_000_000,
                                eps_cor=1e-10, seed=6)
     noisy, ref = _pair(n, int(0.01 * n), seed=34)
     cor, _ = reconcile(noisy, ref, cfg)
@@ -113,7 +117,7 @@ def test_efficiency_reasonable_at_one_percent():
 
 def test_transcript_parity_audit():
     n = 60_000
-    cfg = ReconciliationConfig(round_key_len=1_000_000, passes=2,
+    cfg = ReconciliationConfig(round_key_len=1_000_000,
                                eps_cor=1e-10, seed=7)
     noisy, ref = _pair(n, 600, seed=35)
     transcript = []
@@ -130,7 +134,7 @@ def test_transcript_parity_audit():
 
 def test_multichunk_round_key_segmentation():
     n = 30_000
-    cfg = ReconciliationConfig(round_key_len=10_000, passes=2,
+    cfg = ReconciliationConfig(round_key_len=10_000,
                                eps_cor=1e-10, seed=8)
     noisy, ref = _pair(n, 300, seed=36)
     cor, srv = reconcile(noisy, ref, cfg)
@@ -141,7 +145,7 @@ def test_multichunk_round_key_segmentation():
 
 def test_determinism_across_runs():
     n = 40_000
-    cfg = ReconciliationConfig(round_key_len=1_000_000, passes=2,
+    cfg = ReconciliationConfig(round_key_len=1_000_000,
                                eps_cor=1e-10, seed=9)
     noisy, ref = _pair(n, 400, seed=37)
     r1 = reconcile(noisy.copy(), ref.copy(), cfg)
@@ -153,19 +157,16 @@ def test_determinism_across_runs():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ReconciliationConfig(round_key_len=0, passes=2, eps_cor=1e-10, seed=0)
+        ReconciliationConfig(round_key_len=0, eps_cor=1e-10, seed=0)
     with pytest.raises(ValueError):
-        ReconciliationConfig(round_key_len=1000, passes=1, eps_cor=1e-10,
-                             seed=0)
-    with pytest.raises(ValueError):
-        ReconciliationConfig(round_key_len=1000, passes=2, eps_cor=0.0,
+        ReconciliationConfig(round_key_len=1000, eps_cor=0.0,
                              seed=0)
 
 
 def test_reconcile_rejects_length_mismatch():
     with pytest.raises(ValueError):
         reconcile(np.zeros(10, np.uint8), np.zeros(11, np.uint8),
-                  ReconciliationConfig(round_key_len=1000, passes=2,
+                  ReconciliationConfig(round_key_len=1000,
                                        eps_cor=1e-10, seed=0))
 
 
@@ -173,7 +174,8 @@ def _request(*items):
     return ParityRequest(items=tuple(items)).encode()
 
 
-@pytest.mark.parametrize("item", [
+# hostile rows for a 2000-bit key in 1000-bit chunks
+HOSTILE_ROWS = [
     (2, 1, 0, 10),                        # chunk out of range
     (0, 0, 0, 10),                        # pass 0 does not exist
     (0, MAX_TOTAL_PASSES + 1, 0, 10),     # beyond the pass limit
@@ -183,7 +185,10 @@ def _request(*items):
     (0, 1, 9, 3),                         # reversed range
     (0, 1, 0, 5000),                      # hi beyond the 1000-bit chunk
     (1, 1, 0, 1001),                      # hi beyond the short last chunk
-])
+]
+
+
+@pytest.mark.parametrize("item", HOSTILE_ROWS)
 def test_reference_rejects_hostile_requests(item):
     key = np.random.default_rng(38).integers(0, 2, 2000, dtype=np.uint8)
     ref = ReferenceRole(key, ReconciliationConfig(round_key_len=1000))
@@ -218,3 +223,57 @@ def test_reference_rejects_other_frames_and_a_closed_session():
     assert ref.result().leakage_bits == 34
     with pytest.raises(FrameError):
         ref.answer(_request((0, 1, 0, 10)))
+
+
+@st.composite
+def _session(draw):
+    """A key, its config and a few requests: honest ones on reachable
+    passes, mixing (chunk, pass) pairs, and ones with a hostile row."""
+    n, step = draw(st.one_of(st.just((2000, 1000)),
+                             st.tuples(st.integers(1, 400),
+                                       st.integers(1, 150))))
+    n_chunks = -(-n // step)
+    seed = draw(st.integers(0, 2**32 - 1))
+    last_pass = [0] * n_chunks
+    requests = []
+    for _ in range(draw(st.integers(1, 6))):
+        rows = []
+        for _ in range(draw(st.integers(0, 8))):
+            chunk = draw(st.integers(0, n_chunks - 1))
+            size = min(step, n - chunk * step)
+            lo = draw(st.integers(0, size - 1))
+            hi = draw(st.integers(lo + 1, size))
+            pass_id = draw(st.integers(1, last_pass[chunk] + 1))
+            rows.append((chunk, pass_id, lo, hi))
+        if draw(st.booleans()):
+            rows.insert(draw(st.integers(0, len(rows))),
+                        draw(st.sampled_from(HOSTILE_ROWS)))
+        else:
+            for chunk, pass_id, _, _ in rows:
+                last_pass[chunk] = max(last_pass[chunk], pass_id)
+        requests.append(rows)
+    return n, step, seed, requests
+
+
+@settings(max_examples=80, deadline=None)
+@given(session=_session())
+def test_array_answer_matches_per_item_reference(session):
+    n, step, seed, requests = session
+    key = np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
+    cfg = ReconciliationConfig(round_key_len=step, seed=seed)
+    ref = ReferenceRole(key, cfg)
+    opened = set()
+    for rows in requests:
+        built, leaked = set(ref._prefix_cache), ref.leakage
+        try:
+            want = slow_parities(key, cfg, opened, rows)
+        except FrameError:
+            with pytest.raises(FrameError):
+                ref.answer(_request(*rows))
+            assert set(ref._prefix_cache) == built
+            assert ref.leakage == leaked
+            continue
+        bits = parse_payload(ref.answer(_request(*rows))).bits
+        assert bits.tolist() == want
+        assert ref.leakage == leaked + len(want)
+        assert set(ref._prefix_cache) == opened

@@ -91,9 +91,7 @@ def test_position_list_roundtrip(positions):
 @given(sig=bit_lists, message=st.binary(min_size=0, max_size=200))
 def test_bundle_roundtrip(sig, message):
     msg = SignatureBundle(sig=sig, message=message, p_a=sig[::-1])
-    back = parse_payload(msg.encode())
-    assert list(back.sig) == sig and list(back.p_a) == sig[::-1]
-    assert back.message == message
+    assert parse_payload(msg.encode()) == msg
 
 
 def test_bundle_length_mismatch_rejected():
@@ -104,9 +102,7 @@ def test_bundle_length_mismatch_rejected():
 @given(role=st.sampled_from(["alice", "bob", "charlie"]), x=bit_lists)
 def test_key_share_roundtrip(role, x):
     msg = KeyShare(x_key=x, y_key=[1 - b for b in x], role=role)
-    back = parse_payload(msg.encode())
-    assert back.role == role
-    assert list(back.x_key) == x and list(back.y_key) == [1 - b for b in x]
+    assert parse_payload(msg.encode()) == msg
 
 
 @given(accept=st.booleans(), reason=st.text(max_size=100))
@@ -144,9 +140,7 @@ def test_parse_payload_dispatch_covers_every_type():
     assert seen_types == set(MsgType)
     assert len(MsgType) == 7
     for s in samples:
-        # the signing messages hold numpy arrays, so compare the frames
-        frame = s.encode()
-        assert parse_payload(frame).encode() == frame
+        assert parse_payload(s.encode()) == s
 
 
 # frames recorded from the separate wire classes that the signing
@@ -172,6 +166,54 @@ def test_signing_messages_keep_their_wire_bytes(msg, wire):
     assert parse_payload(decode_frame(raw)[0]).encode() == msg.encode()
 
 
+# frames recorded from the per-item struct codec that the array form
+# of the parity messages replaced
+@pytest.mark.parametrize("msg, wire", [
+    (ParityRequest(((0, 1, 0, 73), (3, 20, 65536, 4294967295),
+                    (65535, 2, 7, 8))),
+     "514453310100000028000000030000000100000000000000490003001400010000"
+     "ffffffffffff00020000000700000008"),
+    (ParityAnswer((1, 0, 1, 1, 0, 0, 1, 0, 1, 1)),
+     "5144533102000000060000000ab2c0"),
+    (ParityRequest(()), "51445331010000000400000000"),
+    (ParityAnswer(()), "51445331020000000400000000"),
+], ids=["request", "answer", "empty-request", "empty-answer"])
+def test_parity_messages_keep_their_wire_bytes(msg, wire):
+    raw = bytes.fromhex(wire)
+    assert encode_frame(msg.encode()) == raw
+    assert parse_payload(decode_frame(raw)[0]) == msg
+
+
+def test_parity_request_fields_must_fit_the_wire():
+    for row in ((65536, 1, 0, 1), (0, 1, -1, 1), (0, 1, 0, 2**32)):
+        with pytest.raises(ValueError):
+            ParityRequest((row,)).encode()
+
+
+_SIG, _P_A = [1, 0] * 8, [0, 1, 1] * 5 + [0]
+
+
+# each pair differs in one bit of an array field or in one other field
+@pytest.mark.parametrize("msg, other", [
+    (ParityRequest(((0, 1, 2, 3), (1, 2, 4, 9))),
+     ParityRequest(((0, 1, 2, 3), (1, 2, 4, 8)))),
+    (ParityAnswer((1, 0, 1, 1)), ParityAnswer((1, 0, 1, 0))),
+    (SignatureBundle(_SIG, b"doc", _P_A),
+     SignatureBundle(_SIG, b"doc", _P_A[:-1] + [1])),
+    (SignatureBundle(_SIG, b"doc", _P_A), SignatureBundle(_SIG, b"dog", _P_A)),
+    (KeyShare([0, 1] * 4, [1, 1, 0, 1] * 2, "charlie"),
+     KeyShare([0, 1] * 4, [1, 1, 0, 1, 1, 1, 0, 0], "charlie")),
+    (KeyShare([0, 1] * 4, [1, 1, 0, 1] * 2, "charlie"),
+     KeyShare([0, 1] * 4, [1, 1, 0, 1] * 2, "bob")),
+], ids=["request", "answer", "bundle-bit", "bundle-message", "share-bit",
+        "share-role"])
+def test_messages_with_arrays_compare_field_by_field(msg, other):
+    copy = parse_payload(msg.encode())
+    assert copy == msg and not copy != msg
+    assert other != msg and not other == msg
+    assert msg != msg.encode()
+
+
 @settings(max_examples=300)
 @given(msg_type=st.sampled_from(list(MsgType)),
        payload=st.binary(min_size=0, max_size=64))
@@ -194,9 +236,14 @@ def test_short_position_list_is_a_frame_error():
         parse_payload(Frame(frame.msg_type, frame.payload[:-1]))
 
 
-@pytest.mark.parametrize("msg", [ParityRequest(items=((0, 1, 2, 3),)),
-                                 PositionAnnouncement(positions=(5, 6)),
-                                 VerifyDecision(accept=False, reason="no")])
+@pytest.mark.parametrize("msg", [
+    ParityRequest(items=((0, 1, 2, 3),)),
+    PositionAnnouncement(positions=(5, 6)),
+    VerifyDecision(accept=False, reason="no"),
+    SignatureBundle(sig=[1] * 8, message=b"m", p_a=[0, 1] * 4),
+    KeyShare(x_key=[0, 1] * 4, y_key=[1] * 8, role="bob"),
+    ParityAnswer(bits=(1, 0, 1)),
+])
 def test_trailing_payload_bytes_rejected(msg):
     frame = msg.encode()
     with pytest.raises(FrameError):
