@@ -47,6 +47,11 @@ _MASK64 = (1 << 64) - 1
 _POLY64_LOW = 0x1B  # x^64 + x^4 + x^3 + x + 1
 
 
+class InconsistentParitiesError(ValueError):
+    """The reference's parity answers fit no key: a chunk of m bits
+    needed more than m flips, while honest answers fix one error each."""
+
+
 @dataclass(frozen=True)
 class ReconciliationConfig:
     """Shared parameters of one reconciliation session."""
@@ -317,7 +322,7 @@ class CorrectorRole:
             return 0
         key_chunk = self.key[start:end]
         passes = []  # per pass: (perm, inverse, k, block mismatch flags)
-        found_pass1 = 0
+        found_pass1 = chunk_flips = 0
         while True:
             pass_id = len(passes) + 1
             if pass_id == 1:
@@ -343,6 +348,10 @@ class CorrectorRole:
                 # smallest blocks first; ties go to the earlier pass
                 q = min(pending, key=lambda r: passes[r][2])
                 flips += yield from self._wave(chunk_idx, passes, q, key_chunk)
+                if chunk_flips + flips > m:
+                    raise InconsistentParitiesError(
+                        f"chunk {chunk_idx}: more than {m} flips")
+            chunk_flips += flips
             if pass_id == 1:
                 found_pass1 = flips
             if (pass_id >= MIN_PASSES and flips == 0) \

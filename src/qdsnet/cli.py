@@ -22,6 +22,7 @@ import argparse
 import json
 import logging
 import os
+import secrets
 import sys
 
 import numpy as np
@@ -187,6 +188,11 @@ def cmd_keygen_sim(args) -> int:
     return EXIT_OK
 
 
+def _one_time(seed: int | None) -> int:
+    """The given seed, for replay, or a fresh 64-bit one when omitted."""
+    return secrets.randbits(64) if seed is None else seed
+
+
 def cmd_sign(args) -> int:
     from .files import (FileFormatError, read_store, write_announcement,
                         write_bundle, write_store)
@@ -207,7 +213,8 @@ def cmd_sign(args) -> int:
         return EXIT_PARSE
 
     try:
-        ann = select_positions(store, args.length, args.position_seed)
+        ann = select_positions(store, args.length,
+                               _one_time(args.position_seed))
     except KeyExhaustedError as exc:
         print(f"key exhausted: {exc}", file=sys.stderr)
         return EXIT_KEY_EXHAUSTED
@@ -218,7 +225,7 @@ def cmd_sign(args) -> int:
     L = args.length
     x_a = store.bits_at(ann.positions[:L])
     y_a = store.bits_at(ann.positions[L:])
-    bundle = sign(message, x_a, y_a, args.p_seed)
+    bundle = sign(message, x_a, y_a, _one_time(args.p_seed))
 
     # consumption becomes durable before anything reveals the positions
     write_store(store, args.store)
@@ -318,8 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="signature length L in bits (multiple of 8)")
     p.add_argument("--out", default="bundle.bin")
     p.add_argument("--announce", default="announce.bin")
-    p.add_argument("--position-seed", type=int, default=0)
-    p.add_argument("--p-seed", type=int, default=0)
+    p.add_argument("--position-seed", type=int,
+                   help="seed of the key position draw (default: random)")
+    p.add_argument("--p-seed", type=int,
+                   help="seed of the one-time hash seed P (default: random)")
     p.set_defaults(func=cmd_sign)
 
     p = sub.add_parser("verify", help="extract own share and/or verify a "

@@ -11,6 +11,11 @@ divided by the count of degree-L/8 irreducibles.
 Seeds are consumed once per signature: the signer transmits P masked by
 a one-time key, and both receiving ends re-derive the same p, so
 derive_modulus must be a pure deterministic function of the seed bits.
+
+hash_document runs Horner's rule a block of L/8 bytes at a time, with
+a table of the products of every byte value and x^(L/8) .. x^(2L/8 - 1)
+modulo p; tests/helpers.py keeps the one-byte-per-step form as
+slow_hash_document, the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf256 import MUL, Poly, is_irreducible
+from .gf256 import MUL, Poly, _x_powers, is_irreducible
 
 _WALK_CAP = 1 << 24
 
@@ -74,27 +79,31 @@ def derive_modulus(seed: HashSeed) -> Poly:
 def hash_document(message: bytes, seed: HashSeed) -> bytes:
     """Digest of message under seed, as L/8 bytes.
 
-    Streaming Horner evaluation: each message byte extends the dividend
-    polynomial by one coefficient and the remainder modulo p is carried
-    along; the trailing multiplication by x^(L/8) is L/8 zero steps.  The
-    digest serializes the remainder highest-order coefficient first.
+    Blockwise Horner evaluation with d = L/8: the message is left-padded
+    with zeros to whole blocks of d bytes (leading zero coefficients
+    leave M(x) unchanged) and one zero block is appended for the
+    trailing x^d.  With the remainder s as d coefficients, highest
+    first, each block B folds in as s <- s * x^d + B modulo p, where
+    s * x^d is the XOR over j of s_j * x^(2d-1-j) mod p: one lookup per
+    coefficient in a byte-lane table built on every call (1.9 MB at
+    d = 86, 5.7 MB at d = 146), then one XOR reduction.  The digest
+    serializes the remainder highest-order coefficient first.
     """
     if not message:
         raise ValueError("cannot hash an empty message")
     p = derive_modulus(seed)
     d = p.degree
-    p_low = p.coeffs[1:]
+    words = -(-d // 8)
+    # lanes[256 j + v] = v * x^(2d-1-j) mod p, padded to whole uint64 words
+    lanes = np.zeros((d, 256, 8 * words), dtype=np.uint8)
+    lanes[:, :, :d] = MUL[:, _x_powers(p, 2 * d)[d:][::-1]].transpose(1, 0, 2)
+    lanes = lanes.view(np.uint64).reshape(d * 256, words)
+    rows = np.arange(0, 256 * d, 256)
 
+    data = np.zeros(-(-len(message) // d) * d + d, dtype=np.uint8)
+    data[-d - len(message):-d] = np.frombuffer(message, dtype=np.uint8)
     state = np.zeros(d, dtype=np.uint8)
-    nxt = np.empty(d, dtype=np.uint8)
-    data = np.frombuffer(message, dtype=np.uint8)
-    tail = np.zeros(d, dtype=np.uint8)
-    for block in (data, tail):
-        for b in block:
-            lead = state[0]
-            nxt[:d - 1] = state[1:]
-            nxt[d - 1] = b
-            if lead:
-                nxt ^= MUL[lead, p_low]
-            state, nxt = nxt, state
+    for block in data.reshape(-1, d):
+        folded = np.bitwise_xor.reduce(lanes.take(rows + state, axis=0))
+        state = folded.view(np.uint8)[:d] ^ block
     return bytes(state)

@@ -228,6 +228,37 @@ def slow_simulate_kgp(n_pulses: int, cfg, model, seed: int):
 
 
 # ---------------------------------------------------------------------------
+# Per-byte division hash, the reference for the blockwise hash_document
+
+
+def slow_hash_document(message: bytes, p) -> bytes:
+    """Digest of message modulo the Poly p, one Horner step per byte.
+
+    Each message byte extends the dividend polynomial by one
+    coefficient and the remainder modulo p is carried along; the
+    trailing multiplication by x^d is d zero steps.  The digest
+    serializes the remainder highest-order coefficient first.
+    """
+    from qdsnet.gf256 import MUL
+    d = p.degree
+    p_low = p.coeffs[1:]
+
+    state = np.zeros(d, dtype=np.uint8)
+    nxt = np.empty(d, dtype=np.uint8)
+    data = np.frombuffer(message, dtype=np.uint8)
+    tail = np.zeros(d, dtype=np.uint8)
+    for block in (data, tail):
+        for b in block:
+            lead = state[0]
+            nxt[:d - 1] = state[1:]
+            nxt[d - 1] = b
+            if lead:
+                nxt ^= MUL[lead, p_low]
+            state, nxt = nxt, state
+    return bytes(state)
+
+
+# ---------------------------------------------------------------------------
 # Batched degree-2 division hash (for the exhaustive perturbation sweep)
 
 

@@ -2,9 +2,10 @@
 
 The outcome digests and the 30 kbit transcript were recorded before the
 parties became synchronous frame handlers; the extra-pass transcript
-and the verification tags before reconciliation moved to arrays.
-Restructuring the roles, the codecs or the transports must leave every
-one of them unchanged.
+and the verification tags before reconciliation moved to arrays; the
+document digests while the hash still ran one byte per step.
+Restructuring the roles, the codecs, the transports or the hash must
+leave every one of them unchanged.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ import json
 import numpy as np
 
 from qdsnet.cascade import ReconciliationConfig, ReferenceRole, reconcile
+from qdsnet.divhash import HashSeed, hash_document
 from qdsnet.framing import TagExchange, parse_payload
 from qdsnet.runner import outcome_to_json, run_simulation
 
@@ -85,3 +87,15 @@ def test_verification_tags():
             tags.append(parse_payload(reply).tag.hex())
     assert tags == ["03f3a62447", "82a9bfb7f3a62447", "03f6d3c657",
                     "7287701ff6d3c657", "03ce9d4f01", "adf3e95bce9d4f01"]
+
+
+def test_document_digests():
+    # a 125 kB document, the size the signature rate is quoted for, at
+    # the signing lengths of both demos and two lengths near them
+    doc = np.random.default_rng(2024).bytes(125_000)
+    digest = hashlib.sha256()
+    for L in (688, 712, 1088, 1168):
+        bits = np.random.default_rng([L, 7]).bytes(L // 8)
+        digest.update(hash_document(doc, HashSeed(bits, L)))
+    assert digest.hexdigest() == (
+        "8d9e1e525cde7f4e1d0b5fc62130fc11e273c0c4f12a2aa86e9d71b3b6a2323d")

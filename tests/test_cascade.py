@@ -1,16 +1,18 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdsnet.cascade import (MAX_TOTAL_PASSES, ReconciliationConfig,
+from qdsnet.cascade import (MAX_TOTAL_PASSES, CorrectorRole,
+                            InconsistentParitiesError, ReconciliationConfig,
                             ReferenceRole, block_length, reconcile,
                             tag_bit_count, verify)
 from qdsnet.finitekey import binary_entropy
-from qdsnet.framing import (FrameError, ParityRequest, TagExchange,
-                            VerifyDecision, parse_payload)
+from qdsnet.framing import (FrameError, ParityAnswer, ParityRequest,
+                            TagExchange, VerifyDecision, parse_payload)
 
 from helpers import slow_parities
 
@@ -223,6 +225,21 @@ def test_reference_rejects_other_frames_and_a_closed_session():
     assert ref.result().leakage_bits == 34
     with pytest.raises(FrameError):
         ref.answer(_request((0, 1, 0, 10)))
+
+
+def test_corrector_stops_on_answers_that_fit_no_key():
+    # every range answered 1: no key has that parity on a range and on
+    # both its halves, so flipping never settles; an honest reference
+    # fixes one error per flip, so a chunk may flip at most m bits
+    key = np.random.default_rng(40).integers(0, 2, 200, dtype=np.uint8)
+    steps = CorrectorRole(key, ReconciliationConfig(), 0.05).run()
+    start = time.perf_counter()
+    with pytest.raises(InconsistentParitiesError):
+        request = next(steps)
+        while True:
+            rows = parse_payload(request).items
+            request = steps.send(ParityAnswer(np.ones(len(rows))).encode())
+    assert time.perf_counter() - start < 1.0
 
 
 @st.composite

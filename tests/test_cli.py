@@ -8,7 +8,7 @@ import pytest
 import qdsnet.files
 from qdsnet.cli import (EXIT_KEY_EXHAUSTED, EXIT_OK, EXIT_PARSE, EXIT_REJECT,
                         EXIT_SECURITY, main)
-from qdsnet.files import read_announcement, read_store
+from qdsnet.files import read_announcement, read_bundle, read_store
 
 GOLDEN = str(pkg_files("qdsnet.data") / "table2_100km_AC.json")
 
@@ -83,7 +83,7 @@ def test_tampered_bundle_rejected(workdir):
     main(["sign", "--message", "doc.bin", "--store", "k/alice.store",
           "--length", "128", "--out", "bundle.bin", "--announce", "ann.bin"])
 
-    from qdsnet.files import read_bundle, write_bundle
+    from qdsnet.files import write_bundle
     from qdsnet.protocol import SignatureBundle
     b = read_bundle("bundle.bin")
     msg = bytearray(b.message)
@@ -171,6 +171,26 @@ def test_failed_store_write_releases_nothing(workdir, monkeypatch, argv,
         main(argv)
     assert store.read_bytes() == before
     assert not any((workdir / name).exists() for name in outputs)
+
+
+def test_sign_draws_fresh_seeds_unless_given(workdir):
+    # copies of one store, so the same position seed selects the same
+    # masking key Y_a and the masked P differs only when P does
+    _keys_and_doc(workdir)
+    store = (workdir / "k/alice.store").read_bytes()
+
+    def sign(*seeds):
+        (workdir / "k/alice.store").write_bytes(store)
+        assert main(["sign", "--message", "doc.bin", "--store",
+                     "k/alice.store", "--length", "64", "--out", "b.bin",
+                     "--announce", "a.bin", *seeds]) == EXIT_OK
+        return (read_bundle("b.bin").p_a.tobytes(),
+                read_announcement("a.bin").positions)
+
+    fixed = ("--position-seed", "3")
+    assert sign(*fixed)[0] != sign(*fixed)[0]
+    assert sign()[1] != sign()[1]
+    assert sign(*fixed, "--p-seed", "0") == sign(*fixed, "--p-seed", "0")
 
 
 def test_sign_exhausts_small_store(workdir):

@@ -2,12 +2,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdsnet.divhash import HashSeed, derive_modulus, hash_document
 from qdsnet.gf256 import Poly, is_irreducible
 
-from helpers import (batch_hash_deg2, slow_irreducible_low_degree,
-                     slow_poly_divmod)
+from helpers import (batch_hash_deg2, slow_hash_document,
+                     slow_irreducible_low_degree, slow_poly_divmod)
 
 
 def _seed(rng, L):
@@ -75,6 +77,21 @@ def test_hash_against_long_division_oracle():
             _, rem = slow_poly_divmod(num, p)
             want = bytes([0] * (d - len(rem)) + rem)   # fixed width
             assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(1, 146).map(lambda k: 8 * k),
+       rng_seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_blockwise_hash_matches_per_byte_reference(L, rng_seed, data):
+    # block edges: one byte short of a block, a block, one byte over
+    d = L // 8
+    n = data.draw(st.integers(1, 3 * d + 1), label="message length")
+    rng = np.random.default_rng(rng_seed)
+    seed = _seed(rng, L)
+    p = derive_modulus(seed)
+    for size in {n, max(d - 1, 1), d, d + 1}:
+        msg = rng.bytes(size)
+        assert hash_document(msg, seed) == slow_hash_document(msg, p)
 
 
 def test_hash_deterministic_and_length():
