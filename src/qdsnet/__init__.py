@@ -15,7 +15,7 @@ The package splits into layers that can be used independently:
 from .cascade import ReconciliationConfig, ReconciliationResult, reconcile
 from .channel import ChannelModel, simulate_kgp
 from .divhash import HashSeed, derive_modulus, hash_document
-from .finitekey import (AnalysisError, Conventions, DetectionTally,
+from .finitekey import (AnalysisError, DetectionTally,
                         InsufficientDataError, IntensityConfig,
                         LinkInsecureError, SecurityReport, SecurityTargets,
                         min_signature_length, report_at_length,
@@ -33,7 +33,7 @@ from .table2 import format_report, reproduce_table
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisError", "ChannelModel", "Conventions", "DetectionTally",
+    "AnalysisError", "ChannelModel", "DetectionTally",
     "DistributionError", "HashSeed", "InsufficientDataError",
     "IntensityConfig", "KeyExhaustedError", "KeyReuseError", "KeyShare",
     "KeyStore", "LinkInsecureError", "Poly", "PositionAnnouncement",

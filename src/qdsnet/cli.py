@@ -19,6 +19,7 @@ QDSNET_LOG sets log verbosity (debug, info, warning; default warning).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -43,24 +44,6 @@ _STAGE_CODES = {
     "security": EXIT_SECURITY,
     "protocol": EXIT_ABORT,
 }
-
-log = logging.getLogger("qdsnet")
-
-
-def _conventions(args):
-    from .finitekey import Conventions
-    return Conventions(log_base=args.log_base,
-                       vacuum_upper_intensity=args.vacuum_upper)
-
-
-def _add_convention_flags(parser):
-    parser.add_argument("--log-base", choices=("e", "2"), default="e",
-                        help="logarithm convention in the concentration "
-                             "bounds (default e)")
-    parser.add_argument("--vacuum-upper", choices=("nu", "mu"), default="nu",
-                        help="intensity indexing the vacuum upper bound "
-                             "(default nu)")
-
 
 def cmd_analyze(args) -> int:
     from .finitekey import (AnalysisError, DetectionTally, IntensityConfig,
@@ -94,8 +77,7 @@ def cmd_analyze(args) -> int:
         return EXIT_PARSE
 
     try:
-        length, report = min_signature_length(tally, intensity, targets,
-                                              _conventions(args))
+        length, report = min_signature_length(tally, intensity, targets)
     except AnalysisError as exc:
         print(f"link insecure: {exc}", file=sys.stderr)
         return EXIT_SECURITY
@@ -131,7 +113,7 @@ def cmd_simulate(args) -> int:
             return EXIT_PARSE
 
     try:
-        outcome = run_simulation(config, _conventions(args), message=message)
+        outcome = run_simulation(config, message=message)
     except RunError as exc:
         print(f"{exc.stage} stage failed: {exc}", file=sys.stderr)
         return _STAGE_CODES.get(exc.stage, EXIT_ABORT)
@@ -160,7 +142,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_reproduce_table(args) -> int:
     from .table2 import format_report, reproduce_table
-    result = reproduce_table(_conventions(args))
+    result = reproduce_table()
     print(format_report(result))
     if args.json:
         with open(args.json, "w") as fh:
@@ -194,14 +176,9 @@ def _one_time(seed: int | None) -> int:
 
 
 def cmd_sign(args) -> int:
-    from .files import (FileFormatError, read_store, write_announcement,
-                        write_bundle, write_store)
+    from .files import (FileFormatError, read_store, store_lock,
+                        write_announcement, write_bundle, write_store)
     from .protocol import KeyExhaustedError, select_positions, sign
-    try:
-        store = read_store(args.store)
-    except (OSError, FileFormatError) as exc:
-        print(f"error: cannot load store: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     try:
         with open(args.message, "rb") as fh:
             message = fh.read()
@@ -212,23 +189,30 @@ def cmd_sign(args) -> int:
         print("error: refusing to sign an empty message", file=sys.stderr)
         return EXIT_PARSE
 
-    try:
-        ann = select_positions(store, args.length,
-                               _one_time(args.position_seed))
-    except KeyExhaustedError as exc:
-        print(f"key exhausted: {exc}", file=sys.stderr)
-        return EXIT_KEY_EXHAUSTED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    with contextlib.ExitStack() as held:
+        try:
+            held.enter_context(store_lock(args.store))
+            store = read_store(args.store)
+        except (OSError, FileFormatError) as exc:
+            print(f"error: cannot load store: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        try:
+            ann = select_positions(store, args.length,
+                                   _one_time(args.position_seed))
+        except KeyExhaustedError as exc:
+            print(f"key exhausted: {exc}", file=sys.stderr)
+            return EXIT_KEY_EXHAUSTED
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
 
-    L = args.length
-    x_a = store.bits_at(ann.positions[:L])
-    y_a = store.bits_at(ann.positions[L:])
-    bundle = sign(message, x_a, y_a, _one_time(args.p_seed))
+        L = args.length
+        x_a = store.bits_at(ann.positions[:L])
+        y_a = store.bits_at(ann.positions[L:])
+        bundle = sign(message, x_a, y_a, _one_time(args.p_seed))
 
-    # consumption becomes durable before anything reveals the positions
-    write_store(store, args.store)
+        # consumption becomes durable before anything reveals the positions
+        write_store(store, args.store)
     write_bundle(bundle, args.out)
     write_announcement(ann, args.announce)
     print(f"bundle written to {args.out}")
@@ -239,27 +223,30 @@ def cmd_sign(args) -> int:
 
 def cmd_verify(args) -> int:
     from .files import (FileFormatError, read_announcement, read_bundle,
-                        read_share, read_store, write_share, write_store)
+                        read_share, read_store, store_lock, write_share,
+                        write_store)
     from .protocol import (KeyExhaustedError, KeyReuseError, extract_share,
                            verify_as_receiver)
-    try:
-        bundle = read_bundle(args.bundle)
-        ann = read_announcement(args.announce)
-        store = read_store(args.store)
-    except (OSError, FileFormatError, ValueError) as exc:
-        print(f"error: cannot load inputs: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    with contextlib.ExitStack() as held:
+        try:
+            bundle = read_bundle(args.bundle)
+            ann = read_announcement(args.announce)
+            held.enter_context(store_lock(args.store))
+            store = read_store(args.store)
+        except (OSError, FileFormatError, ValueError) as exc:
+            print(f"error: cannot load inputs: {exc}", file=sys.stderr)
+            return EXIT_PARSE
 
-    try:
-        own = extract_share(store, ann)
-    except (KeyExhaustedError, KeyReuseError) as exc:
-        print(f"key exhausted: {exc}", file=sys.stderr)
-        return EXIT_KEY_EXHAUSTED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        try:
+            own = extract_share(store, ann)
+        except (KeyExhaustedError, KeyReuseError) as exc:
+            print(f"key exhausted: {exc}", file=sys.stderr)
+            return EXIT_KEY_EXHAUSTED
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
 
-    write_store(store, args.store)
+        write_store(store, args.store)
     if args.share_out:
         write_share(own, args.share_out)
         print(f"own share written to {args.share_out}")
@@ -295,20 +282,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-cor", type=float, default=None)
     p.add_argument("--message-bits", type=int, default=None)
     p.add_argument("--lambda-ec", type=int, default=None)
-    _add_convention_flags(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="full signing run from a config")
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--out-dir", default=".", help="output directory")
     p.add_argument("--message", help="override the config's message path")
-    _add_convention_flags(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reproduce-table",
                        help="recompute the bundled reference rows")
     p.add_argument("--json", help="also write the machine-readable report")
-    _add_convention_flags(p)
     p.set_defaults(func=cmd_reproduce_table)
 
     p = sub.add_parser("keygen-sim", help="write simulated key stores for "

@@ -5,13 +5,16 @@ through a temp file and os.replace, so a crash can never leave a store
 half-updated (either the old mask or the new one, never a torn file).
 The CLI writes the store before the bundle, announcement or share that
 reveals the consumed positions, so a crash between the two writes
-leaves those positions spent, never reusable.
+leaves those positions spent, never reusable.  It holds store_lock from
+reading a store to writing it back, so concurrent runs never share a mask.
 Bundles, announcements, and shares are single wire frames written to
 disk unchanged, so files and network traffic share one codec.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
 import os
 import struct
@@ -70,6 +73,18 @@ def write_store(store: KeyStore, path: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+@contextlib.contextmanager
+def store_lock(path: str):
+    """Exclusive lock on the sidecar file <path>.lock, held until exit.
+
+    The lock is not on the store itself because write_store replaces
+    the store's inode, and a lock on the old inode guards nothing.
+    """
+    with open(path + ".lock", "a") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        yield
 
 
 def read_store(path: str) -> KeyStore:

@@ -9,6 +9,12 @@ and turns the substring's smooth min-entropy into the distinct failure
 probabilities of the signature scheme: robustness, repudiation, and
 forgery.
 
+The analysis has one convention: every Hoeffding deviation and
+sampling tail uses the natural logarithm, and the decoy (nu) error
+count anchors the vacuum upper bound.  Base-2 logarithms or a mu-anchored
+vacuum bound were evaluated on the bundled reference rows and reproduce
+none of them.
+
 All quantities here are scalar floats; everything is closed-form, so the
 full chain evaluates in microseconds and the minimal secure substring
 length can be found by direct scan.
@@ -17,7 +23,7 @@ length can be found by direct scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 EC_EFFICIENCY = 1.16
 _LAMBDA_FLOOR = 1e-12
@@ -28,7 +34,7 @@ class AnalysisError(RuntimeError):
 
 
 class InsufficientDataError(AnalysisError):
-    """Observed counts cannot support a positive single-photon bound."""
+    """No detections, no accumulation time or no single-photon bound."""
 
 
 class LinkInsecureError(AnalysisError):
@@ -38,35 +44,6 @@ class LinkInsecureError(AnalysisError):
         super().__init__(message)
         self.best_eps = best_eps
         self.best_len = best_len
-
-
-@dataclass(frozen=True)
-class Conventions:
-    """Resolvable ambiguities in the concentration terms.
-
-    log_base: base of the logarithm inside the Hoeffding deviation and
-    the sampling tail ("e" or "2").  vacuum_upper_intensity: which
-    intensity's error count anchors the vacuum upper bound ("nu" or
-    "mu").  Defaults reproduce the published tabulated values.
-    """
-
-    log_base: str = "e"
-    vacuum_upper_intensity: str = "nu"
-
-    def __post_init__(self):
-        if self.log_base not in ("e", "2"):
-            raise ValueError("log_base must be 'e' or '2'")
-        if self.vacuum_upper_intensity not in ("nu", "mu"):
-            raise ValueError("vacuum_upper_intensity must be 'nu' or 'mu'")
-
-    def log_recip(self, x: float) -> float:
-        """log(1/x) in the configured base."""
-        if self.log_base == "e":
-            return -math.log(x)
-        return -math.log2(x)
-
-
-DEFAULT_CONVENTIONS = Conventions()
 
 
 @dataclass(frozen=True)
@@ -179,13 +156,6 @@ class SecurityTargets:
             raise ValueError("lambda_ec_bits must be nonnegative")
 
 
-_REPORT_KEYS = (
-    "tau0", "tau1", "s_z0_l", "s_z1_l", "s_z0_u", "s_x1_l", "v_x1_u",
-    "phi_z_u", "e_z", "h_min_per_L", "eps_rob", "eps_rep", "eps_for",
-    "eps", "signature_len_bits", "signature_rate_tps",
-)
-
-
 @dataclass(frozen=True)
 class SecurityReport:
     """Full output of the analysis chain at one substring length."""
@@ -208,11 +178,7 @@ class SecurityReport:
     signature_rate_tps: float
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in _REPORT_KEYS}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SecurityReport":
-        return cls(**{k: d[k] for k in _REPORT_KEYS})
+        return asdict(self)
 
 
 def binary_entropy(x: float) -> float:
@@ -235,8 +201,7 @@ def tau(n: int, cfg: IntensityConfig) -> float:
 
 
 def hoeffding_shift(count: int, total: int, k_intensity: float,
-                    cfg: IntensityConfig, eps_sf: float, upper: bool,
-                    conv: Conventions = DEFAULT_CONVENTIONS) -> float:
+                    cfg: IntensityConfig, eps_sf: float, upper: bool) -> float:
     """Finite-size corrected count (e^k / P_k) * (count +- delta).
 
     delta = sqrt((total / 2) * log(1 / eps_sf)) is the Hoeffding
@@ -244,56 +209,51 @@ def hoeffding_shift(count: int, total: int, k_intensity: float,
     """
     if total <= 0:
         raise ValueError("total must be positive")
-    delta = math.sqrt(total / 2 * conv.log_recip(eps_sf))
+    delta = math.sqrt(total / 2 * -math.log(eps_sf))
     shifted = count + delta if upper else count - delta
     return math.exp(k_intensity) / cfg.prob_of(k_intensity) * shifted
 
 
 def vacuum_lower(tally: DetectionTally, cfg: IntensityConfig, eps_sf: float,
-                 basis: str = "z",
-                 conv: Conventions = DEFAULT_CONVENTIONS) -> float:
+                 basis: str = "z") -> float:
     """Lower bound on vacuum-event detections in the chosen basis."""
     total = tally.detections_total(basis)
     n_nu_low = hoeffding_shift(tally.detections(basis, "nu"), total,
-                               cfg.nu, cfg, eps_sf, upper=False, conv=conv)
+                               cfg.nu, cfg, eps_sf, upper=False)
     n_mu_high = hoeffding_shift(tally.detections(basis, "mu"), total,
-                                cfg.mu, cfg, eps_sf, upper=True, conv=conv)
+                                cfg.mu, cfg, eps_sf, upper=True)
     t0 = tau(0, cfg)
     s0 = t0 * (cfg.mu * n_nu_low - cfg.nu * n_mu_high) / (cfg.mu - cfg.nu)
     return max(s0, 0.0)
 
 
 def vacuum_upper(tally: DetectionTally, cfg: IntensityConfig, eps_sf: float,
-                 basis: str = "z",
-                 conv: Conventions = DEFAULT_CONVENTIONS) -> float:
+                 basis: str = "z") -> float:
     """Upper bound on vacuum-event detections in the chosen basis.
 
     Vacuum detections are error-prone half the time, so twice the
-    corrected error count caps them; the trailing deviation term covers
-    the sampling of the vacuum events themselves.
+    corrected decoy (nu) error count caps them; the trailing deviation
+    term covers the sampling of the vacuum events themselves.
     """
-    k_name = conv.vacuum_upper_intensity
-    k = cfg.mu if k_name == "mu" else cfg.nu
     m_total = tally.errors_total(basis)
     n_total = tally.detections_total(basis)
-    m_high = hoeffding_shift(tally.errors(basis, k_name), m_total,
-                             k, cfg, eps_sf, upper=True, conv=conv)
+    m_high = hoeffding_shift(tally.errors(basis, "nu"), m_total,
+                             cfg.nu, cfg, eps_sf, upper=True)
     t0 = tau(0, cfg)
-    s0_u = 2 * (t0 * m_high + math.sqrt(n_total / 2 * conv.log_recip(eps_sf)))
+    s0_u = 2 * (t0 * m_high + math.sqrt(n_total / 2 * -math.log(eps_sf)))
     return min(s0_u, float(n_total))
 
 
 def single_photon_lower(tally: DetectionTally, cfg: IntensityConfig,
-                        eps_sf: float, basis: str = "z",
-                        conv: Conventions = DEFAULT_CONVENTIONS) -> float:
+                        eps_sf: float, basis: str = "z") -> float:
     """Lower bound on single-photon detections in the chosen basis."""
     mu, nu = cfg.mu, cfg.nu
     total = tally.detections_total(basis)
     n_nu_low = hoeffding_shift(tally.detections(basis, "nu"), total,
-                               nu, cfg, eps_sf, upper=False, conv=conv)
+                               nu, cfg, eps_sf, upper=False)
     n_mu_high = hoeffding_shift(tally.detections(basis, "mu"), total,
-                                mu, cfg, eps_sf, upper=True, conv=conv)
-    s0_u = vacuum_upper(tally, cfg, eps_sf, basis, conv=conv)
+                                mu, cfg, eps_sf, upper=True)
+    s0_u = vacuum_upper(tally, cfg, eps_sf, basis)
     t0, t1 = tau(0, cfg), tau(1, cfg)
     bracket = (n_nu_low
                - (nu ** 2 / mu ** 2) * n_mu_high
@@ -302,22 +262,21 @@ def single_photon_lower(tally: DetectionTally, cfg: IntensityConfig,
     return min(max(s1, 0.0), float(total))
 
 
-def vx1_upper(tally: DetectionTally, cfg: IntensityConfig, eps_sf: float,
-              conv: Conventions = DEFAULT_CONVENTIONS) -> float:
+def vx1_upper(tally: DetectionTally, cfg: IntensityConfig,
+              eps_sf: float) -> float:
     """Upper bound on single-photon bit errors in the X basis."""
     mu, nu = cfg.mu, cfg.nu
     m_total = tally.errors_total("x")
     m_mu_high = hoeffding_shift(tally.errors("x", "mu"), m_total,
-                                mu, cfg, eps_sf, upper=True, conv=conv)
+                                mu, cfg, eps_sf, upper=True)
     m_nu_low = hoeffding_shift(tally.errors("x", "nu"), m_total,
-                               nu, cfg, eps_sf, upper=False, conv=conv)
+                               nu, cfg, eps_sf, upper=False)
     t1 = tau(1, cfg)
     v = t1 * (m_mu_high - m_nu_low) / (mu - nu)
     return max(v, 0.0)
 
 
-def gamma_upper(n: float, k: float, eps: float, lam: float,
-                conv: Conventions = DEFAULT_CONVENTIONS) -> float:
+def gamma_upper(n: float, k: float, eps: float, lam: float) -> float:
     """Random-sampling deviation for drawing n of n+k bits without replacement.
 
     Bounds how much the rate of a property in the drawn n bits can exceed
@@ -329,7 +288,7 @@ def gamma_upper(n: float, k: float, eps: float, lam: float,
     total = n + k
     arg = total / (2 * math.pi * n * k * lam * (1 - lam) * eps ** 2)
     # a log argument <= 1 means the tail bound is vacuous at this size
-    g = max(total / (n * k) * conv.log_recip(1.0 / arg), 0.0)
+    g = max(total / (n * k) * -math.log(1.0 / arg), 0.0)
     a = max(n, k)
     num = (1 - 2 * lam) * a * g / total + math.sqrt(
         a ** 2 * g ** 2 / total ** 2 + 4 * lam * (1 - lam) * g)
@@ -337,32 +296,30 @@ def gamma_upper(n: float, k: float, eps: float, lam: float,
     return num / den
 
 
-def phase_error_upper(tally: DetectionTally, cfg: IntensityConfig,
-                      eps_sf: float,
-                      conv: Conventions = DEFAULT_CONVENTIONS) -> float:
+def phase_error_upper(s_z1: float, s_x1: float, v_x1: float,
+                      eps_sf: float) -> float:
     """Upper bound on the single-photon phase error rate of the Z key.
 
-    The X-basis single-photon error rate estimates the Z-basis phase
-    error rate; gamma_upper covers the statistical transfer between the
-    two finite samples.  Raises InsufficientDataError when the X-basis
+    s_z1 and s_x1 are the single-photon lower bounds of the Z and X
+    bases and v_x1 the upper bound on single-photon X errors.  The
+    X-basis single-photon error rate estimates the Z-basis phase error
+    rate; gamma_upper covers the statistical transfer between the two
+    finite samples.  Raises InsufficientDataError when either
     single-photon count cannot be bounded away from zero.
     """
-    s_x1 = single_photon_lower(tally, cfg, eps_sf, basis="x", conv=conv)
     if s_x1 <= 0:
         raise InsufficientDataError(
             "X-basis single-photon lower bound is not positive")
-    s_z1 = single_photon_lower(tally, cfg, eps_sf, basis="z", conv=conv)
     if s_z1 <= 0:
         raise InsufficientDataError(
             "Z-basis single-photon lower bound is not positive")
-    ratio = vx1_upper(tally, cfg, eps_sf, conv=conv) / s_x1
-    phi = ratio + gamma_upper(s_z1, s_x1, eps_sf, ratio, conv=conv)
+    ratio = v_x1 / s_x1
+    phi = ratio + gamma_upper(s_z1, s_x1, eps_sf, ratio)
     return min(max(phi, 0.0), 0.5)
 
 
 def substring_bounds(s_z0_l: float, s_z1_l: float, phi_z_u: float,
-                     n_z: int, length: int, eps_sf: float,
-                     conv: Conventions = DEFAULT_CONVENTIONS
+                     n_z: int, length: int, eps_sf: float
                      ) -> tuple[float, float, float]:
     """Transfer whole-key bounds onto a random L-bit substring.
 
@@ -372,20 +329,18 @@ def substring_bounds(s_z0_l: float, s_z1_l: float, phi_z_u: float,
     if not 0 < length < n_z:
         raise ValueError("substring length must be in (0, n_z)")
     lam0 = s_z0_l / n_z
-    s0_L = length * (lam0 - gamma_upper(length, n_z - length, eps_sf, lam0,
-                                        conv=conv))
+    s0_L = length * (lam0 - gamma_upper(length, n_z - length, eps_sf, lam0))
     s0_L = min(max(s0_L, 0.0), float(length))
 
     lam1 = s_z1_l / n_z
-    s1_L = length * (lam1 - gamma_upper(length, n_z - length, eps_sf, lam1,
-                                        conv=conv))
+    s1_L = length * (lam1 - gamma_upper(length, n_z - length, eps_sf, lam1))
     s1_L = min(max(s1_L, 0.0), float(length))
 
     rest = s_z1_l - s1_L
     if s1_L <= 0 or rest <= 0:
         phi_L = 0.5
     else:
-        phi_L = phi_z_u + gamma_upper(s1_L, rest, eps_sf, phi_z_u, conv=conv)
+        phi_L = phi_z_u + gamma_upper(s1_L, rest, eps_sf, phi_z_u)
         phi_L = min(max(phi_L, 0.0), 0.5)
     return s0_L, s1_L, phi_L
 
@@ -439,26 +394,31 @@ class LinkBounds:
 
 
 def link_bounds(tally: DetectionTally, cfg: IntensityConfig,
-                targets: SecurityTargets,
-                conv: Conventions = DEFAULT_CONVENTIONS) -> LinkBounds:
+                targets: SecurityTargets) -> LinkBounds:
     """Evaluate every length-independent bound once."""
     if tally.detections_total("z") == 0 or tally.detections_total("x") == 0:
         raise InsufficientDataError(
             "no detections in at least one basis; nothing to bound")
+    if tally.accumulation_time_s == 0:
+        raise InsufficientDataError(
+            "zero accumulation time; no signature rate to bound")
     e_z = tally.e_z
     if targets.lambda_ec_bits is not None:
         lam_ec = targets.lambda_ec_bits
     else:
         lam_ec = EC_EFFICIENCY * tally.n_z_total * binary_entropy(e_z)
+    s_z1 = single_photon_lower(tally, cfg, targets.eps_sf, "z")
+    s_x1 = single_photon_lower(tally, cfg, targets.eps_sf, "x")
+    v_x1 = vx1_upper(tally, cfg, targets.eps_sf)
     return LinkBounds(
         tau0=tau(0, cfg),
         tau1=tau(1, cfg),
-        s_z0_l=vacuum_lower(tally, cfg, targets.eps_sf, "z", conv=conv),
-        s_z0_u=vacuum_upper(tally, cfg, targets.eps_sf, "z", conv=conv),
-        s_z1_l=single_photon_lower(tally, cfg, targets.eps_sf, "z", conv=conv),
-        s_x1_l=single_photon_lower(tally, cfg, targets.eps_sf, "x", conv=conv),
-        v_x1_u=vx1_upper(tally, cfg, targets.eps_sf, conv=conv),
-        phi_z_u=phase_error_upper(tally, cfg, targets.eps_sf, conv=conv),
+        s_z0_l=vacuum_lower(tally, cfg, targets.eps_sf, "z"),
+        s_z0_u=vacuum_upper(tally, cfg, targets.eps_sf, "z"),
+        s_z1_l=s_z1,
+        s_x1_l=s_x1,
+        v_x1_u=v_x1,
+        phi_z_u=phase_error_upper(s_z1, s_x1, v_x1, targets.eps_sf),
         e_z=e_z,
         lambda_ec=lam_ec,
         n_z=tally.n_z_total,
@@ -475,25 +435,24 @@ def signature_rate(n_z: int, length: int, time_s: float) -> float:
     return n_z / (2 * length * time_s)
 
 
-def _entropy_at(bounds: LinkBounds, length: int, targets: SecurityTargets,
-                conv: Conventions) -> float:
+def _entropy_at(bounds: LinkBounds, length: int,
+                targets: SecurityTargets) -> float:
     s0_L, s1_L, phi_L = substring_bounds(
         bounds.s_z0_l, bounds.s_z1_l, bounds.phi_z_u,
-        bounds.n_z, length, targets.eps_sf, conv=conv)
+        bounds.n_z, length, targets.eps_sf)
     return min_entropy(s0_L, s1_L, phi_L, length, bounds.n_z,
                        bounds.lambda_ec, targets.eps_cor)
 
 
 def report_at_length(tally: DetectionTally, cfg: IntensityConfig,
                      targets: SecurityTargets, length: int,
-                     conv: Conventions = DEFAULT_CONVENTIONS,
                      bounds: LinkBounds | None = None) -> SecurityReport:
     """Evaluate the full chain at one fixed substring length."""
     if length < 8 or length % 8:
         raise ValueError("signature length must be a positive multiple of 8")
     if bounds is None:
-        bounds = link_bounds(tally, cfg, targets, conv=conv)
-    h_n = _entropy_at(bounds, length, targets, conv)
+        bounds = link_bounds(tally, cfg, targets)
+    h_n = _entropy_at(bounds, length, targets)
     eps_rob, eps_rep, eps_for, eps = security_bounds(
         h_n, targets.message_len_bits, targets.eps_cor)
     return SecurityReport(
@@ -508,8 +467,7 @@ def report_at_length(tally: DetectionTally, cfg: IntensityConfig,
 
 
 def min_signature_length(tally: DetectionTally, cfg: IntensityConfig,
-                         targets: SecurityTargets,
-                         conv: Conventions = DEFAULT_CONVENTIONS
+                         targets: SecurityTargets
                          ) -> tuple[int, SecurityReport]:
     """Smallest substring length whose total failure bound meets the target.
 
@@ -519,20 +477,20 @@ def min_signature_length(tally: DetectionTally, cfg: IntensityConfig,
     length qualifies, and InsufficientDataError when the single-photon
     bounds collapse entirely.
     """
-    bounds = link_bounds(tally, cfg, targets, conv=conv)
+    bounds = link_bounds(tally, cfg, targets)
     if 2 * targets.eps_cor > targets.eps_target:
         raise LinkInsecureError(
             "robustness floor 2*eps_cor exceeds the target", 2 * targets.eps_cor, None)
     best_eps = math.inf
     best_len: int | None = None
     for length in range(8, bounds.n_z // 2 + 1, 8):
-        h_n = _entropy_at(bounds, length, targets, conv)
+        h_n = _entropy_at(bounds, length, targets)
         eps = security_bounds(h_n, targets.message_len_bits, targets.eps_cor)[3]
         if eps < best_eps:
             best_eps, best_len = eps, length
         if eps <= targets.eps_target:
             report = report_at_length(tally, cfg, targets, length,
-                                      conv=conv, bounds=bounds)
+                                      bounds=bounds)
             return length, report
     raise LinkInsecureError(
         f"no substring length reaches eps <= {targets.eps_target:g} "

@@ -23,8 +23,7 @@ import numpy as np
 
 from .cascade import ReconciliationConfig, reconcile
 from .channel import ChannelModel, SiftedBatch, simulate_kgp
-from .finitekey import (AnalysisError, Conventions, DEFAULT_CONVENTIONS,
-                        IntensityConfig, SecurityTargets,
+from .finitekey import (AnalysisError, IntensityConfig, SecurityTargets,
                         min_signature_length, report_at_length)
 from .protocol import (MessagingOutcome, SignatureBundle, connect_parties,
                        run_distribution, run_messaging)
@@ -122,7 +121,6 @@ def _transcript_dict(transcripts: dict) -> dict:
 
 
 def run_simulation(config: RunConfig,
-                   conventions: Conventions = DEFAULT_CONVENTIONS,
                    message: Optional[bytes] = None) -> dict:
     """Execute one full signing run; returns the outcome record.
 
@@ -174,8 +172,7 @@ def run_simulation(config: RunConfig,
     for name, batch in batches.items():
         try:
             lengths[name], _ = min_signature_length(
-                batch.tally, links[name].intensity, targets[name],
-                conventions)
+                batch.tally, links[name].intensity, targets[name])
         except AnalysisError as exc:
             raise RunError("security", f"{name} link insecure: {exc}")
     signature_len = max(lengths.values())
@@ -184,7 +181,7 @@ def run_simulation(config: RunConfig,
     final_reports = {}
     for name, batch in batches.items():
         rep = report_at_length(batch.tally, links[name].intensity,
-                               targets[name], signature_len, conventions)
+                               targets[name], signature_len)
         if rep.eps > config.targets.eps_target:
             raise RunError("security",
                            f"{name} link misses the target at the common "
@@ -199,10 +196,7 @@ def run_simulation(config: RunConfig,
                    for n in ("bob", "charlie"))
 
     def _trim(result):
-        from .cascade import ReconciliationResult
-        return ReconciliationResult(result.corrected_key[:n_common],
-                                    result.leakage_bits, result.verified,
-                                    result.rounds_used)
+        return replace(result, corrected_key=result.corrected_key[:n_common])
 
     alice_store, bob_store, charlie_store = run_distribution(
         tuple(_trim(r) for r in ec_results["bob"]),

@@ -5,7 +5,8 @@ counts, source settings, and the originally published derived values
 (single-photon bound, error rates, signature length, security bound,
 signature rate).  reproduce_table re-derives every output column from
 the raw counts alone and compares against the published cells at fixed
-tolerances, first at the printed inputs:
+tolerances under finitekey's one analysis convention, first at the
+printed inputs:
 
     E_Z        exact at the printed precision (a ratio of integers)
     s_Z1_l     within 2 percent
@@ -18,11 +19,7 @@ R_S target selection: the published rate cell is compared against the
 rate identity n_Z / (2 L t) evaluated at the published L and t.  Two of
 the eight cells disagree with their own row's identity by about 5
 percent; for those rows the identity-consistent value replaces the cell
-as the comparison target and the row is flagged.  Every failure also
-triggers an evaluation of the analyzer's convention alternatives
-(logarithm base, which intensity bounds the vacuum estimate) so the
-report shows whether any alternative convention would have rescued the
-row.
+as the comparison target and the row is flagged.
 
 Input precision: the analysis inputs mu, nu, p_mu and p_nu are printed
 to three decimals, and half a printed digit on them moves the
@@ -46,9 +43,8 @@ import math
 from decimal import ROUND_HALF_UP, Decimal
 from importlib import resources
 
-from .finitekey import (AnalysisError, Conventions, DEFAULT_CONVENTIONS,
-                        DetectionTally, IntensityConfig, SecurityTargets,
-                        link_bounds, min_signature_length,
+from .finitekey import (AnalysisError, DetectionTally, IntensityConfig,
+                        SecurityTargets, link_bounds, min_signature_length,
                         signature_rate)
 
 ROW_FILES = (
@@ -126,11 +122,11 @@ def _link_cells(pub: dict, tally: DetectionTally, bounds) -> dict[str, dict]:
 
 
 def _judge_cells(row: dict, tally: DetectionTally,
-                 intensity: IntensityConfig, targets: SecurityTargets,
-                 conv: Conventions) -> dict[str, dict]:
+                 intensity: IntensityConfig,
+                 targets: SecurityTargets) -> dict[str, dict]:
     """Recompute one row's outputs at the given inputs; judge each cell."""
     pub = row["published"]
-    length, report = min_signature_length(tally, intensity, targets, conv)
+    length, report = min_signature_length(tally, intensity, targets)
     checks = _link_cells(pub, tally, report)
 
     t_s = float(pub["accumulation_time_s"])
@@ -173,10 +169,9 @@ def _judge_cells(row: dict, tally: DetectionTally,
     return checks
 
 
-def reproduce_row(row: dict,
-                  conv: Conventions = DEFAULT_CONVENTIONS) -> dict:
+def reproduce_row(row: dict) -> dict:
     """Recompute one row's outputs at its printed inputs; judge every cell."""
-    checks = _judge_cells(row, *row_inputs(row), conv)
+    checks = _judge_cells(row, *row_inputs(row))
     rate = checks["signature_rate_tps"]
     return {
         "distance_km": row["distance_km"], "link": row["link"],
@@ -228,7 +223,7 @@ def admissible_points(intensity: IntensityConfig) -> list[dict[str, Decimal]]:
     return sorted(points, key=digits_moved)
 
 
-def input_witness(row: dict, conv: Conventions = DEFAULT_CONVENTIONS,
+def input_witness(row: dict,
                   printed_result: dict | None = None) -> dict | None:
     """First admissible input point where every cell passes.
 
@@ -236,8 +231,8 @@ def input_witness(row: dict, conv: Conventions = DEFAULT_CONVENTIONS,
     all six cells pass their unchanged bands: its offsets from the
     printed inputs, its reproduced L and its R_S deviation.  Returns
     None when no admissible point passes.  printed_result, reproduce_row's
-    result for the same row and conventions, saves re-judging the
-    printed inputs when they are themselves admissible.
+    result for the same row, saves re-judging the printed inputs when
+    they are themselves admissible.
     """
     tally, intensity, targets = row_inputs(row)
     centre = _printed(intensity)
@@ -251,11 +246,11 @@ def input_witness(row: dict, conv: Conventions = DEFAULT_CONVENTIONS,
                 name: float(value) for name, value in point.items()})
             try:
                 # the link cells cost a tenth of the length scan
-                bounds = link_bounds(tally, moved, targets, conv=conv)
+                bounds = link_bounds(tally, moved, targets)
                 if not all(c["pass"] for c in _link_cells(
                         row["published"], tally, bounds).values()):
                     continue
-                checks = _judge_cells(row, tally, moved, targets, conv)
+                checks = _judge_cells(row, tally, moved, targets)
             except AnalysisError:
                 continue
         if all(c["pass"] for c in checks.values()):
@@ -274,59 +269,21 @@ def format_offsets(witness: dict) -> str:
     return " ".join(moved) if moved else "printed inputs"
 
 
-def _alternative_summary(rows: list[dict], judged: Conventions,
-                         judged_results: list[dict]) -> list[dict]:
-    """Failure counts for every analyzer convention combination.
-
-    judged_results, reproduce_row's results for the convention judged,
-    stand in for that convention, so only the other three are evaluated.
-    """
-    out = []
-    for log_base in ("e", "2"):
-        for vac in ("nu", "mu"):
-            conv = Conventions(log_base=log_base,
-                               vacuum_upper_intensity=vac)
-            failed = []
-            for row, res in zip(rows, judged_results):
-                if conv != judged:
-                    try:
-                        res = reproduce_row(row, conv)
-                    except Exception:
-                        failed.append(f"{row['distance_km']}km {row['link']} "
-                                      "(analysis error)")
-                        continue
-                if not res["row_pass"]:
-                    failed.append(f"{row['distance_km']}km {row['link']}")
-            out.append({"log_base": log_base,
-                        "vacuum_upper_intensity": vac,
-                        "rows_failed": len(failed), "failures": failed})
-    return out
-
-
-def reproduce_table(conv: Conventions = DEFAULT_CONVENTIONS) -> dict:
+def reproduce_table() -> dict:
     """Recompute all rows and search each row's input witness.
 
     all_pass judges the printed inputs; all_reproduced holds when every
-    row has a witness.  On any failure at the printed inputs, the
-    convention alternatives are also evaluated (point verdicts only).
+    row has a witness.
     """
-    rows = load_rows()
     results = []
-    for row in rows:
-        res = reproduce_row(row, conv)
-        res["witness"] = input_witness(row, conv, printed_result=res)
+    for row in load_rows():
+        res = reproduce_row(row)
+        res["witness"] = input_witness(row, printed_result=res)
         results.append(res)
-    all_pass = all(r["row_pass"] for r in results)
-    report = {"rows": results, "all_pass": all_pass,
-              "all_reproduced": all(r["witness"] is not None
-                                    for r in results),
-              "convention": {"log_base": conv.log_base,
-                             "vacuum_upper_intensity":
-                                 conv.vacuum_upper_intensity}}
-    if not all_pass:
-        report["alternatives_evaluated"] = _alternative_summary(
-            rows, conv, results)
-    return report
+    return {"rows": results,
+            "all_pass": all(r["row_pass"] for r in results),
+            "all_reproduced": all(r["witness"] is not None
+                                  for r in results)}
 
 
 def _fmt(value: float) -> str:
@@ -374,12 +331,4 @@ def format_report(result: dict) -> str:
     lines.append(f"rows passing: {n_rows - n_fail}/{n_rows}")
     lines.append(f"rows reproduced within input precision: "
                  f"{n_witness}/{n_rows}")
-    if "alternatives_evaluated" in result:
-        lines.append("")
-        lines.append("analyzer convention alternatives "
-                     "(rows failed under each):")
-        for alt in result["alternatives_evaluated"]:
-            lines.append(f"  log_base={alt['log_base']:<2} "
-                         f"vacuum_upper={alt['vacuum_upper_intensity']:<3} "
-                         f"-> {alt['rows_failed']} rows failed")
     return "\n".join(lines)

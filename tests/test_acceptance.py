@@ -367,13 +367,12 @@ def test_criterion_5_field_hash_suite(capsys):
 
 def test_criterion_6_estimator_properties(capsys):
     from qdsnet.channel import ChannelModel, simulate_kgp
-    from qdsnet.finitekey import (Conventions, InsufficientDataError,
+    from qdsnet.finitekey import (InsufficientDataError,
                                   IntensityConfig, SecurityTargets,
                                   min_signature_length, report_at_length,
                                   vacuum_lower, vacuum_upper)
     from qdsnet.table2 import load_rows, row_inputs
 
-    conv = Conventions(log_base="e", vacuum_upper_intensity="nu")
     problems = []
 
     rows = load_rows()
@@ -381,17 +380,17 @@ def test_criterion_6_estimator_properties(capsys):
         name = f"{row['distance_km']}km {row['link']}"
         tally, cfg, targets = row_inputs(row)
 
-        lo = vacuum_lower(tally, cfg, targets.eps_sf, "z", conv=conv)
-        hi = vacuum_upper(tally, cfg, targets.eps_sf, "z", conv=conv)
+        lo = vacuum_lower(tally, cfg, targets.eps_sf, "z")
+        hi = vacuum_upper(tally, cfg, targets.eps_sf, "z")
         if not 0 <= lo <= hi:
             problems.append(f"{name}: vacuum bounds disordered")
 
-        L, report = min_signature_length(tally, cfg, targets, conv)
+        L, report = min_signature_length(tally, cfg, targets)
         if report.eps > targets.eps_target:
             problems.append(f"{name}: reported eps misses target")
         if L > 8:
             try:
-                below = report_at_length(tally, cfg, targets, L - 8, conv)
+                below = report_at_length(tally, cfg, targets, L - 8)
                 if below.eps <= targets.eps_target:
                     problems.append(f"{name}: L={L} not minimal")
             except InsufficientDataError:
@@ -402,7 +401,7 @@ def test_criterion_6_estimator_properties(capsys):
                                 eps_target=targets.eps_target,
                                 message_len_bits=targets.message_len_bits,
                                 lambda_ec_bits=targets.lambda_ec_bits)
-        L_loose, _ = min_signature_length(tally, cfg, loose, conv)
+        L_loose, _ = min_signature_length(tally, cfg, loose)
         if L_loose > L:
             problems.append(f"{name}: eps_sf loosening grew L")
 

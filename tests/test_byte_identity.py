@@ -3,9 +3,11 @@
 The outcome digests and the 30 kbit transcript were recorded before the
 parties became synchronous frame handlers; the extra-pass transcript
 and the verification tags before reconciliation moved to arrays; the
-document digests while the hash still ran one byte per step.
-Restructuring the roles, the codecs, the transports or the hash must
-leave every one of them unchanged.
+document digests while the hash still ran one byte per step; the
+table digest while the analysis still took a choice of log base and
+vacuum-bound intensity.  Restructuring the roles, the codecs, the
+transports, the hash or the analysis must leave every one of them
+unchanged.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ from qdsnet.cascade import ReconciliationConfig, ReferenceRole, reconcile
 from qdsnet.divhash import HashSeed, hash_document
 from qdsnet.framing import TagExchange, parse_payload
 from qdsnet.runner import outcome_to_json, run_simulation
+from qdsnet.table2 import reproduce_table
 
 from test_runner import MESSAGE, _small_config
 
@@ -99,3 +102,10 @@ def test_document_digests():
         digest.update(hash_document(doc, HashSeed(bits, L)))
     assert digest.hexdigest() == (
         "8d9e1e525cde7f4e1d0b5fc62130fc11e273c0c4f12a2aa86e9d71b3b6a2323d")
+
+
+def test_table_rows_digest():
+    # every reproduced cell and witness of the eight golden rows
+    rows = reproduce_table()["rows"]
+    assert _sha256(json.dumps(rows, sort_keys=True)) == (
+        "17883cef4bc0e55a2c7366298a3fd5e293aa3c841e9c0782e8d9171a65bb00fc")

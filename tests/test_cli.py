@@ -1,6 +1,11 @@
+import copy
 import json
 import os
+import subprocess
+import sys
+import time
 from importlib.resources import files as pkg_files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +13,9 @@ import pytest
 import qdsnet.files
 from qdsnet.cli import (EXIT_KEY_EXHAUSTED, EXIT_OK, EXIT_PARSE, EXIT_REJECT,
                         EXIT_SECURITY, main)
-from qdsnet.files import read_announcement, read_bundle, read_store
+from qdsnet.files import (read_announcement, read_bundle, read_store,
+                          store_lock, write_store)
+from qdsnet.protocol import select_positions
 
 GOLDEN = str(pkg_files("qdsnet.data") / "table2_100km_AC.json")
 
@@ -48,14 +55,20 @@ def test_analyze_missing_field(workdir):
     assert main(["analyze", "empty.json"]) == EXIT_PARSE
 
 
-def test_analyze_all_zero_tally(workdir):
+def test_analyze_all_zero_tally(workdir, capsys):
+    # all counts zero, then the golden counts over zero seconds
     with open(GOLDEN) as fh:
-        doc = json.load(fh)
-    for k in doc["tally"]:
+        golden = json.load(fh)
+    no_counts = copy.deepcopy(golden)
+    for k in no_counts["tally"]:
         if k != "accumulation_time_s":
-            doc["tally"][k] = 0
-    (workdir / "zeros.json").write_text(json.dumps(doc))
-    assert main(["analyze", "zeros.json"]) == EXIT_SECURITY
+            no_counts["tally"][k] = 0
+    no_time = copy.deepcopy(golden)
+    no_time["tally"]["accumulation_time_s"] = 0
+    for doc in (no_counts, no_time):
+        (workdir / "zeros.json").write_text(json.dumps(doc))
+        assert main(["analyze", "zeros.json"]) == EXIT_SECURITY
+        assert "link insecure:" in capsys.readouterr().err
 
 
 def test_keygen_sign_verify_accept_flow(workdir):
@@ -171,6 +184,35 @@ def test_failed_store_write_releases_nothing(workdir, monkeypatch, argv,
         main(argv)
     assert store.read_bytes() == before
     assert not any((workdir / name).exists() for name in outputs)
+
+
+def test_concurrent_sign_waits_for_the_store_lock(workdir):
+    # this test plays the first of two runs on one store: it holds the
+    # lock from reading the store to writing it back, with the position
+    # seed the second run (a subprocess) also uses
+    _keys_and_doc(workdir)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(qdsnet.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    with store_lock("k/alice.store"):
+        store = read_store("k/alice.store")
+        proc = subprocess.Popen([sys.executable, "-m", "qdsnet.cli", *SIGN],
+                                env=env, stdout=subprocess.DEVNULL)
+        time.sleep(0.5)
+        waited = proc.poll() is None
+        first = select_positions(store, 64, 3).positions
+        write_store(store, "k/alice.store")
+    try:
+        rc = proc.wait(timeout=60)
+    finally:
+        proc.kill()     # a no-op once it has exited
+        proc.wait()
+    assert waited
+    assert rc == EXIT_OK
+    second = read_announcement("a.bin").positions
+    spent = set(np.flatnonzero(read_store("k/alice.store").used_mask))
+    assert spent == set(first) | set(second)
+    assert len(spent) == 4 * 64
 
 
 def test_sign_draws_fresh_seeds_unless_given(workdir):

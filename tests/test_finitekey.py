@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from qdsnet.finitekey import (Conventions, DetectionTally, IntensityConfig,
+from qdsnet import finitekey
+from qdsnet.finitekey import (DetectionTally, IntensityConfig,
                               InsufficientDataError, SecurityReport,
                               SecurityTargets, binary_entropy, gamma_upper,
                               link_bounds, min_signature_length,
                               phase_error_upper, report_at_length,
                               signature_rate, single_photon_lower, tau,
-                              vacuum_lower, vacuum_upper)
+                              vacuum_lower, vacuum_upper, vx1_upper)
 
 from helpers import keyed_tally
-
-CONV = Conventions(log_base="e", vacuum_upper_intensity="nu")
 
 
 def test_tau_against_scipy_poisson_mixture():
@@ -61,22 +60,22 @@ def test_gamma_upper_matches_formula():
         k = float(rng.integers(100, 10_000_000))
         eps = 10.0 ** rng.uniform(-12, -4)
         lam = rng.uniform(0.01, 0.49)
-        assert gamma_upper(n, k, eps, lam, CONV) == \
+        assert gamma_upper(n, k, eps, lam) == \
             pytest.approx(_gamma_oracle(n, k, eps, lam), rel=1e-12)
 
 
 def test_gamma_upper_monotone_in_eps():
     # smaller failure probability must cost a larger correction
-    g_tight = gamma_upper(1e6, 1e5, 1e-12, 0.02, CONV)
-    g_loose = gamma_upper(1e6, 1e5, 1e-6, 0.02, CONV)
+    g_tight = gamma_upper(1e6, 1e5, 1e-12, 0.02)
+    g_loose = gamma_upper(1e6, 1e5, 1e-6, 0.02)
     assert g_tight > g_loose > 0
 
 
 def test_gamma_upper_validates():
     with pytest.raises(ValueError):
-        gamma_upper(0, 10, 1e-10, 0.1, CONV)
+        gamma_upper(0, 10, 1e-10, 0.1)
     with pytest.raises(ValueError):
-        gamma_upper(10, 0, 1e-10, 0.1, CONV)
+        gamma_upper(10, 0, 1e-10, 0.1)
 
 
 def _golden_row():
@@ -87,23 +86,54 @@ def test_vacuum_bounds_ordering_all_rows():
     from qdsnet.table2 import load_rows, row_inputs
     for row in load_rows():
         tally, cfg, targets = row_inputs(row)
-        lo = vacuum_lower(tally, cfg, targets.eps_sf, "z", conv=CONV)
-        hi = vacuum_upper(tally, cfg, targets.eps_sf, "z", conv=CONV)
+        lo = vacuum_lower(tally, cfg, targets.eps_sf, "z")
+        hi = vacuum_upper(tally, cfg, targets.eps_sf, "z")
         assert 0 <= lo <= hi
         assert hi <= tally.n_z_total
 
 
 def test_single_photon_bound_published_row():
     tally, cfg, targets = _golden_row()
-    s1 = single_photon_lower(tally, cfg, targets.eps_sf, "z", conv=CONV)
+    s1 = single_photon_lower(tally, cfg, targets.eps_sf, "z")
     assert s1 == pytest.approx(5642925, rel=0.02)   # tabulated value
 
 
 def test_phase_error_published_row():
     tally, cfg, targets = _golden_row()
-    phi = phase_error_upper(tally, cfg, targets.eps_sf, conv=CONV)
+    s_z1, s_x1 = (single_photon_lower(tally, cfg, targets.eps_sf, basis)
+                  for basis in ("z", "x"))
+    v_x1 = vx1_upper(tally, cfg, targets.eps_sf)
+    phi = phase_error_upper(s_z1, s_x1, v_x1, targets.eps_sf)
     assert 0.0 <= phi <= 0.5
     assert phi == pytest.approx(0.0312, rel=0.15)   # tabulated value
+
+
+def test_phase_error_needs_positive_single_photon_bounds():
+    for s_z1, s_x1 in ((1e6, 0.0), (0.0, 1e5)):
+        with pytest.raises(InsufficientDataError):
+            phase_error_upper(s_z1, s_x1, 10.0, 1e-10)
+
+
+def test_link_bounds_evaluates_each_bound_once(monkeypatch):
+    tally, cfg, targets = _golden_row()
+    want = link_bounds(tally, cfg, targets)
+    calls = []
+
+    def counted(name):
+        inner = getattr(finitekey, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(finitekey, name, wrapper)
+
+    for name in ("single_photon_lower", "vx1_upper", "vacuum_upper"):
+        counted(name)
+    assert link_bounds(tally, cfg, targets) == want
+    assert calls.count("single_photon_lower") == 2    # Z and X
+    assert calls.count("vx1_upper") == 1
+    # once for s_z0_u, once inside each single-photon bound
+    assert calls.count("vacuum_upper") == 3
 
 
 def test_error_rate_published_row():
@@ -113,7 +143,7 @@ def test_error_rate_published_row():
 
 def test_min_signature_length_published_row():
     tally, cfg, targets = _golden_row()
-    L, report = min_signature_length(tally, cfg, targets, CONV)
+    L, report = min_signature_length(tally, cfg, targets)
     assert L % 8 == 0
     assert 0.9 * 783 <= L <= 1.1 * 783 + 8          # tabulated L band
     assert report.eps <= targets.eps_target
@@ -123,12 +153,12 @@ def test_min_signature_length_published_row():
 
 def test_min_signature_length_is_minimal():
     tally, cfg, targets = _golden_row()
-    L, _ = min_signature_length(tally, cfg, targets, CONV)
-    at = report_at_length(tally, cfg, targets, L, CONV)
+    L, _ = min_signature_length(tally, cfg, targets)
+    at = report_at_length(tally, cfg, targets, L)
     assert at.eps <= targets.eps_target
     if L > 8:
         try:
-            below = report_at_length(tally, cfg, targets, L - 8, CONV)
+            below = report_at_length(tally, cfg, targets, L - 8)
             assert below.eps > targets.eps_target
         except InsufficientDataError:
             pass
@@ -136,18 +166,18 @@ def test_min_signature_length_is_minimal():
 
 def test_length_monotone_in_eps_sf():
     tally, cfg, targets = _golden_row()
-    L_tight, _ = min_signature_length(tally, cfg, targets, CONV)
+    L_tight, _ = min_signature_length(tally, cfg, targets)
     loose = SecurityTargets(eps_sf=1e-7, eps_cor=targets.eps_cor,
                             eps_target=targets.eps_target,
                             message_len_bits=targets.message_len_bits,
                             lambda_ec_bits=targets.lambda_ec_bits)
-    L_loose, _ = min_signature_length(tally, cfg, loose, CONV)
+    L_loose, _ = min_signature_length(tally, cfg, loose)
     assert L_loose <= L_tight
 
 
 def test_eps_components_structure():
     tally, cfg, targets = _golden_row()
-    _, report = min_signature_length(tally, cfg, targets, CONV)
+    _, report = min_signature_length(tally, cfg, targets)
     assert report.eps_rob == pytest.approx(2 * targets.eps_cor)
     assert report.eps_rep == 0.0
     assert report.eps == max(report.eps_rob, report.eps_rep, report.eps_for)
@@ -155,7 +185,7 @@ def test_eps_components_structure():
 
 def test_report_serialization_keys():
     tally, cfg, targets = _golden_row()
-    _, report = min_signature_length(tally, cfg, targets, CONV)
+    _, report = min_signature_length(tally, cfg, targets)
     d = report.to_dict()
     assert set(d) == set(SecurityReport.__dataclass_fields__)
     rebuilt = SecurityReport(**d)
@@ -167,21 +197,6 @@ def test_signature_rate_identity():
         pytest.approx(1e7 / (2 * 783 * 981.7))
 
 
-def test_conventions_change_results():
-    tally, cfg, targets = _golden_row()
-    phi_e = phase_error_upper(tally, cfg, targets.eps_sf, conv=CONV)
-    phi_2 = phase_error_upper(tally, cfg, targets.eps_sf,
-                              conv=Conventions(log_base="2",
-                                               vacuum_upper_intensity="nu"))
-    # base-2 logs inflate every deviation term
-    assert phi_2 > phi_e
-    hi_nu = vacuum_upper(tally, cfg, targets.eps_sf, "z", conv=CONV)
-    hi_mu = vacuum_upper(tally, cfg, targets.eps_sf, "z",
-                         conv=Conventions(log_base="e",
-                                          vacuum_upper_intensity="mu"))
-    assert hi_nu != hi_mu
-
-
 def test_zero_detection_tally_raises():
     cfg = IntensityConfig(mu=0.5, nu=0.1, p_mu=0.7, p_nu=0.3,
                           p_z=0.9, p_x=0.1)
@@ -191,9 +206,9 @@ def test_zero_detection_tally_raises():
     targets = SecurityTargets(eps_target=1e-7, message_len_bits=1000,
                               lambda_ec_bits=0.0)
     with pytest.raises(InsufficientDataError):
-        link_bounds(tally, cfg, targets, CONV)
+        link_bounds(tally, cfg, targets)
     with pytest.raises(InsufficientDataError):
-        min_signature_length(tally, cfg, targets, CONV)
+        min_signature_length(tally, cfg, targets)
 
 
 def test_targets_validation():

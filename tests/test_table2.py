@@ -4,8 +4,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
 
-from qdsnet import table2
-from qdsnet.finitekey import Conventions, signature_rate
+from qdsnet.finitekey import signature_rate
 from qdsnet.table2 import (PRECISION_INPUTS, admissible_points,
                            format_report, input_witness, load_rows,
                            reproduce_row, reproduce_table, row_inputs)
@@ -20,8 +19,8 @@ KNOWN_INCONSISTENT_CELLS = {"50km A-B", "200km A-B"}
 
 @pytest.fixture(scope="module")
 def table():
-    """One reproduce_table() at the default conventions for the module;
-    no test that takes it mutates it."""
+    """One reproduce_table() for the module; no test that takes it
+    mutates it."""
     return reproduce_table()
 
 
@@ -74,20 +73,6 @@ def test_rate_cells_match_documented_state(table):
     flagged = {_name(r) for r in result["rows"] if r["flags"]}
     assert flagged >= KNOWN_INCONSISTENT_CELLS
     assert result["all_pass"] is False
-    # when any row fails, the alternative conventions must be on record
-    alts = result["alternatives_evaluated"]
-    assert len(alts) == 4
-    best = min(alts, key=lambda a: a["rows_failed"])
-    assert best["log_base"] == "e"
-    assert best["vacuum_upper_intensity"] == "nu"
-    assert best["rows_failed"] == 2
-
-
-def test_no_convention_does_better(table):
-    result = table
-    ours = sum(1 for r in result["rows"] if not r["row_pass"])
-    for alt in result["alternatives_evaluated"]:
-        assert alt["rows_failed"] >= ours
 
 
 def test_reproduce_row_shape():
@@ -98,15 +83,6 @@ def test_reproduce_row_shape():
         "signature_rate_tps"}
     for cell in out["checks"].values():
         assert "computed" in cell and "published" in cell
-
-
-def test_alternative_convention_degrades(table):
-    bad = reproduce_table(Conventions(log_base="2",
-                                      vacuum_upper_intensity="mu"))
-    good = table
-    n_bad = sum(1 for r in bad["rows"] if not r["row_pass"])
-    n_good = sum(1 for r in good["rows"] if not r["row_pass"])
-    assert n_bad > n_good
 
 
 def test_format_report_readable(table):
@@ -172,15 +148,6 @@ def test_admissible_points_respect_rounding_and_priors():
                      "p_mu": Decimal("0.775"), "p_nu": Decimal("0.225")}
 
 
-@pytest.mark.parametrize("log_base,vac", [("2", "nu"), ("e", "mu"),
-                                          ("2", "mu")])
-def test_alternative_conventions_have_no_witness(log_base, vac):
-    result = reproduce_table(Conventions(log_base=log_base,
-                                         vacuum_upper_intensity=vac))
-    assert result["all_reproduced"] is False
-    assert [r["witness"] for r in result["rows"]] == [None] * 8
-
-
 def test_witness_absent_when_cells_are_out_of_reach():
     # move a passing row's published L and R_S cells 8% off, together,
     # so the rate cell stays consistent with its own identity: the L band
@@ -201,35 +168,3 @@ def test_witness_absent_when_cells_are_out_of_reach():
     assert not out["checks"]["signature_rate_tps"]["pass"]
     assert not out["flags"]
     assert input_witness(row) is None
-
-
-def test_alternatives_reuse_the_judged_verdicts(monkeypatch):
-    calls = []
-
-    def counting_row(row, conv=Conventions()):
-        res = reproduce_row(row, conv)
-        calls.append(conv)
-        if len(calls) == 1:
-            res["row_pass"] = False     # force the alternatives summary
-        return res
-
-    monkeypatch.setattr(table2, "reproduce_row", counting_row)
-    monkeypatch.setattr(table2, "input_witness", lambda *a, **k: None)
-    result = reproduce_table()
-    # 8 rows judged, then 8 for each of the three other conventions
-    assert len(calls) == 32
-    assert Conventions() not in calls[8:]
-    judged = next(a for a in result["alternatives_evaluated"]
-                  if (a["log_base"], a["vacuum_upper_intensity"]) == ("e", "nu"))
-    assert judged["failures"][0] == _name(load_rows()[0])
-
-
-def test_alternatives_match_a_direct_evaluation(table):
-    rows = load_rows()
-    for alt in table["alternatives_evaluated"]:
-        conv = Conventions(log_base=alt["log_base"],
-                           vacuum_upper_intensity=alt["vacuum_upper_intensity"])
-        failed = [_name(r) for r in rows
-                  if not reproduce_row(r, conv)["row_pass"]]
-        assert alt["failures"] == failed
-        assert alt["rows_failed"] == len(failed)
