@@ -35,11 +35,10 @@ class ChannelModel:
     dark_count_prob: float = 1e-7
     misalignment: float = 0.01
     pulse_rate_hz: float = 5e7
-    receiver_loss_db: float = 0.0
 
     def __post_init__(self):
-        if self.loss_db < 0 or self.receiver_loss_db < 0:
-            raise ValueError("losses must be nonnegative")
+        if self.loss_db < 0:
+            raise ValueError("loss_db must be nonnegative")
         for name in ("detector_efficiency", "dark_count_prob", "misalignment"):
             v = getattr(self, name)
             if not 0 <= v <= 1:
@@ -50,8 +49,7 @@ class ChannelModel:
     @property
     def eta(self) -> float:
         """End-to-end transmittance including detector efficiency."""
-        total_db = self.loss_db + self.receiver_loss_db
-        return self.detector_efficiency * 10.0 ** (-total_db / 10.0)
+        return self.detector_efficiency * 10.0 ** (-self.loss_db / 10.0)
 
 
 def click_probability(intensity: float, model: ChannelModel) -> float:
@@ -94,7 +92,6 @@ class SiftedBatch:
     tally: DetectionTally
     alice_bits: np.ndarray
     sender_bits: np.ndarray
-    rng_seed: int
 
     def __post_init__(self):
         if len(self.alice_bits) != self.tally.n_z_total:
@@ -207,7 +204,7 @@ def simulate_kgp(n_pulses: int, cfg: IntensityConfig, model: ChannelModel,
     assert int(np.count_nonzero(sender_bits != alice_bits)) == \
         counts["m_z_mu"] + counts["m_z_nu"]
     return SiftedBatch(tally=tally, alice_bits=alice_bits,
-                       sender_bits=sender_bits, rng_seed=seed)
+                       sender_bits=sender_bits)
 
 
 def expected_rates(cfg: IntensityConfig, model: ChannelModel) -> dict[str, float]:

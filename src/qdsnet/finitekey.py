@@ -71,13 +71,6 @@ class IntensityConfig:
         if abs(self.p_z + self.p_x - 1.0) > 5e-3:
             raise ValueError("p_z + p_x must sum to 1")
 
-    def prob_of(self, intensity: float) -> float:
-        if intensity == self.mu:
-            return self.p_mu
-        if intensity == self.nu:
-            return self.p_nu
-        raise ValueError(f"unknown intensity {intensity}")
-
 
 @dataclass(frozen=True)
 class DetectionTally:
@@ -201,17 +194,18 @@ def tau(n: int, cfg: IntensityConfig) -> float:
 
 
 def hoeffding_shift(count: int, total: int, k_intensity: float,
-                    cfg: IntensityConfig, eps_sf: float, upper: bool) -> float:
+                    prior: float, eps_sf: float, upper: bool) -> float:
     """Finite-size corrected count (e^k / P_k) * (count +- delta).
 
-    delta = sqrt((total / 2) * log(1 / eps_sf)) is the Hoeffding
-    deviation for the pooled sample of `total` events.
+    prior is P_k, the probability of sending intensity k.  delta =
+    sqrt((total / 2) * log(1 / eps_sf)) is the Hoeffding deviation for
+    the pooled sample of `total` events; an empty sample deviates by 0.
     """
-    if total <= 0:
-        raise ValueError("total must be positive")
+    if total < 0:
+        raise ValueError("total must be nonnegative")
     delta = math.sqrt(total / 2 * -math.log(eps_sf))
     shifted = count + delta if upper else count - delta
-    return math.exp(k_intensity) / cfg.prob_of(k_intensity) * shifted
+    return math.exp(k_intensity) / prior * shifted
 
 
 def vacuum_lower(tally: DetectionTally, cfg: IntensityConfig, eps_sf: float,
@@ -219,9 +213,9 @@ def vacuum_lower(tally: DetectionTally, cfg: IntensityConfig, eps_sf: float,
     """Lower bound on vacuum-event detections in the chosen basis."""
     total = tally.detections_total(basis)
     n_nu_low = hoeffding_shift(tally.detections(basis, "nu"), total,
-                               cfg.nu, cfg, eps_sf, upper=False)
+                               cfg.nu, cfg.p_nu, eps_sf, upper=False)
     n_mu_high = hoeffding_shift(tally.detections(basis, "mu"), total,
-                                cfg.mu, cfg, eps_sf, upper=True)
+                                cfg.mu, cfg.p_mu, eps_sf, upper=True)
     t0 = tau(0, cfg)
     s0 = t0 * (cfg.mu * n_nu_low - cfg.nu * n_mu_high) / (cfg.mu - cfg.nu)
     return max(s0, 0.0)
@@ -238,22 +232,24 @@ def vacuum_upper(tally: DetectionTally, cfg: IntensityConfig, eps_sf: float,
     m_total = tally.errors_total(basis)
     n_total = tally.detections_total(basis)
     m_high = hoeffding_shift(tally.errors(basis, "nu"), m_total,
-                             cfg.nu, cfg, eps_sf, upper=True)
+                             cfg.nu, cfg.p_nu, eps_sf, upper=True)
     t0 = tau(0, cfg)
     s0_u = 2 * (t0 * m_high + math.sqrt(n_total / 2 * -math.log(eps_sf)))
     return min(s0_u, float(n_total))
 
 
 def single_photon_lower(tally: DetectionTally, cfg: IntensityConfig,
-                        eps_sf: float, basis: str = "z") -> float:
-    """Lower bound on single-photon detections in the chosen basis."""
+                        eps_sf: float, basis: str, s0_u: float) -> float:
+    """Lower bound on single-photon detections in the chosen basis.
+
+    s0_u is that basis's vacuum_upper bound.
+    """
     mu, nu = cfg.mu, cfg.nu
     total = tally.detections_total(basis)
     n_nu_low = hoeffding_shift(tally.detections(basis, "nu"), total,
-                               nu, cfg, eps_sf, upper=False)
+                               nu, cfg.p_nu, eps_sf, upper=False)
     n_mu_high = hoeffding_shift(tally.detections(basis, "mu"), total,
-                                mu, cfg, eps_sf, upper=True)
-    s0_u = vacuum_upper(tally, cfg, eps_sf, basis)
+                                mu, cfg.p_mu, eps_sf, upper=True)
     t0, t1 = tau(0, cfg), tau(1, cfg)
     bracket = (n_nu_low
                - (nu ** 2 / mu ** 2) * n_mu_high
@@ -268,9 +264,9 @@ def vx1_upper(tally: DetectionTally, cfg: IntensityConfig,
     mu, nu = cfg.mu, cfg.nu
     m_total = tally.errors_total("x")
     m_mu_high = hoeffding_shift(tally.errors("x", "mu"), m_total,
-                                mu, cfg, eps_sf, upper=True)
+                                mu, cfg.p_mu, eps_sf, upper=True)
     m_nu_low = hoeffding_shift(tally.errors("x", "nu"), m_total,
-                               nu, cfg, eps_sf, upper=False)
+                               nu, cfg.p_nu, eps_sf, upper=False)
     t1 = tau(1, cfg)
     v = t1 * (m_mu_high - m_nu_low) / (mu - nu)
     return max(v, 0.0)
@@ -407,14 +403,16 @@ def link_bounds(tally: DetectionTally, cfg: IntensityConfig,
         lam_ec = targets.lambda_ec_bits
     else:
         lam_ec = EC_EFFICIENCY * tally.n_z_total * binary_entropy(e_z)
-    s_z1 = single_photon_lower(tally, cfg, targets.eps_sf, "z")
-    s_x1 = single_photon_lower(tally, cfg, targets.eps_sf, "x")
+    s_z0_u = vacuum_upper(tally, cfg, targets.eps_sf, "z")
+    s_z1 = single_photon_lower(tally, cfg, targets.eps_sf, "z", s_z0_u)
+    s_x1 = single_photon_lower(tally, cfg, targets.eps_sf, "x",
+                               vacuum_upper(tally, cfg, targets.eps_sf, "x"))
     v_x1 = vx1_upper(tally, cfg, targets.eps_sf)
     return LinkBounds(
         tau0=tau(0, cfg),
         tau1=tau(1, cfg),
         s_z0_l=vacuum_lower(tally, cfg, targets.eps_sf, "z"),
-        s_z0_u=vacuum_upper(tally, cfg, targets.eps_sf, "z"),
+        s_z0_u=s_z0_u,
         s_z1_l=s_z1,
         s_x1_l=s_x1,
         v_x1_u=v_x1,

@@ -50,11 +50,6 @@ INV[_r] = _c
 del _r, _c
 
 
-def gf_mul(a: int, b: int) -> int:
-    """Product of two field elements (bytes)."""
-    return int(MUL[a, b])
-
-
 def gf_inv(a: int) -> int:
     """Multiplicative inverse; raises ZeroDivisionError for 0."""
     if a == 0:
@@ -110,17 +105,6 @@ class Poly:
 X = Poly([1, 0])
 ONE = Poly([1])
 ZERO = Poly([])
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return ZERO
-    out = np.zeros(a.degree + b.degree + 1, dtype=np.uint8)
-    bc = b.coeffs
-    for i, c in enumerate(a.coeffs):
-        if c:
-            out[i:i + len(bc)] ^= MUL[c, bc]
-    return Poly(out)
 
 
 def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:

@@ -37,6 +37,14 @@ class RunError(RuntimeError):
         self.stage = stage
 
 
+def _require_known(where: str, d: dict, known: tuple[str, ...]) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     intensity: IntensityConfig
@@ -46,17 +54,10 @@ class LinkConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinkConfig":
+        _require_known("link", d, ("intensity", "channel", "n_pulses", "seed"))
         return cls(intensity=IntensityConfig(**d["intensity"]),
                    channel=ChannelModel(**d["channel"]),
                    n_pulses=int(d["n_pulses"]), seed=int(d["seed"]))
-
-    def to_dict(self) -> dict:
-        return {"intensity": vars(self.intensity).copy(),
-                "channel": {k: getattr(self.channel, k) for k in
-                            ("loss_db", "detector_efficiency",
-                             "dark_count_prob", "misalignment",
-                             "pulse_rate_hz", "receiver_loss_db")},
-                "n_pulses": self.n_pulses, "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -67,26 +68,24 @@ class RunConfig:
     link_charlie: LinkConfig
     targets: SecurityTargets
     message_path: str
-    transport: str = "inproc"
     tamper: bool = False
     protocol_seed: int = 2024
 
-    def __post_init__(self):
-        if self.transport not in ("inproc", "socket"):
-            raise ValueError(f"unknown transport {self.transport!r}")
-
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        _require_known("config", d, ("links", "targets", "message_path",
+                                     "tamper", "protocol_seed"))
         links = d.get("links", {})
         if set(links) != {"bob", "charlie"}:
             raise ValueError("config must define exactly the links "
                              "'bob' and 'charlie'")
+        # the run measures the message length and the leakage itself
         targets = d.get("targets", {})
+        _require_known("targets", targets, ("eps_sf", "eps_cor", "eps_target"))
         return cls(link_bob=LinkConfig.from_dict(links["bob"]),
                    link_charlie=LinkConfig.from_dict(links["charlie"]),
                    targets=SecurityTargets(**targets),
                    message_path=d["message_path"],
-                   transport=d.get("transport", "inproc"),
                    tamper=bool(d.get("tamper", False)),
                    protocol_seed=int(d.get("protocol_seed", 2024)))
 
@@ -94,14 +93,6 @@ class RunConfig:
     def from_json(cls, path: str) -> "RunConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-    def to_dict(self) -> dict:
-        return {"links": {"bob": self.link_bob.to_dict(),
-                          "charlie": self.link_charlie.to_dict()},
-                "targets": vars(self.targets).copy(),
-                "message_path": self.message_path,
-                "transport": self.transport, "tamper": self.tamper,
-                "protocol_seed": self.protocol_seed}
 
 
 def _derived_seed(root: int, *key: int) -> int:
@@ -203,8 +194,7 @@ def run_simulation(config: RunConfig,
         tuple(_trim(r) for r in ec_results["charlie"]))
 
     parties, transcripts = connect_parties(alice_store, bob_store,
-                                           charlie_store,
-                                           transport=config.transport)
+                                           charlie_store)
     try:
         outcome: MessagingOutcome = run_messaging(
             parties, message, signature_len_bits=signature_len,

@@ -74,14 +74,6 @@ def load_rows() -> list[dict]:
     return rows
 
 
-def _printed_ulp(text: str) -> float:
-    """Half-open quantization step of a printed decimal like '6.46e-2'."""
-    mant = text.lower().split("e")[0]
-    exp = int(text.lower().split("e")[1]) if "e" in text.lower() else 0
-    decimals = len(mant.split(".")[1]) if "." in mant else 0
-    return 10.0 ** (exp - decimals)
-
-
 def _ceil8(x: float) -> int:
     return int(math.ceil(x / 8.0)) * 8
 
@@ -100,9 +92,10 @@ def _link_cells(pub: dict, tally: DetectionTally, bounds) -> dict[str, dict]:
 
     pub_ez = float(pub["e_z_percent"])
     ez_pct = 100.0 * tally.e_z
+    ez_digit = float(_digit(Decimal(pub["e_z_percent"])))
     checks["e_z"] = {
         "computed": ez_pct, "published": pub_ez,
-        "pass": abs(ez_pct - pub_ez) <= 0.5 * _printed_ulp(pub["e_z_percent"]),
+        "pass": abs(ez_pct - pub_ez) <= 0.5 * ez_digit,
     }
 
     pub_s1 = float(pub["s_z1_l"])
@@ -150,7 +143,7 @@ def _judge_cells(row: dict, tally: DetectionTally,
 
     # rate cell: check the published cell against its own row's identity
     pub_rs = float(pub["signature_rate_tps"])
-    rs_ulp = _printed_ulp(pub["signature_rate_tps"])
+    rs_ulp = float(_digit(Decimal(pub["signature_rate_tps"])))
     identity_rs = signature_rate(n_z, pub_L, t_s)
     cell_consistent = (abs(identity_rs / pub_rs - 1.0)
                        <= RS_CELL_CONSISTENCY_RTOL)

@@ -223,8 +223,7 @@ def slow_simulate_kgp(n_pulses: int, cfg, model, seed: int):
                            accumulation_time_s=n_pulses / model.pulse_rate_hz,
                            **counts)
     return SiftedBatch(tally=tally, alice_bits=np.concatenate(alice_chunks),
-                       sender_bits=np.concatenate(sender_chunks),
-                       rng_seed=seed)
+                       sender_bits=np.concatenate(sender_chunks))
 
 
 # ---------------------------------------------------------------------------

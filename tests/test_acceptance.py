@@ -410,7 +410,7 @@ def test_criterion_6_estimator_properties(capsys):
                            p_z=0.75, p_x=0.25)
     model = ChannelModel(loss_db=10.0, detector_efficiency=1.0,
                          dark_count_prob=1e-7, misalignment=0.01,
-                         pulse_rate_hz=1e9, receiver_loss_db=0.0)
+                         pulse_rate_hz=1e9)
     b1 = simulate_kgp(500_000, icfg, model, seed=5)
     b2 = simulate_kgp(500_000, icfg, model, seed=5)
     if (b1.tally != b2.tally

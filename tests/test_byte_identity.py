@@ -17,9 +17,10 @@ import numpy as np
 
 from qdsnet.cascade import ReconciliationConfig, ReferenceRole, reconcile
 from qdsnet.divhash import HashSeed, hash_document
+from qdsnet.finitekey import min_signature_length
 from qdsnet.framing import TagExchange, parse_payload
 from qdsnet.runner import outcome_to_json, run_simulation
-from qdsnet.table2 import reproduce_table
+from qdsnet.table2 import load_rows, reproduce_table, row_inputs
 
 from test_runner import MESSAGE, _small_config
 
@@ -109,3 +110,12 @@ def test_table_rows_digest():
     rows = reproduce_table()["rows"]
     assert _sha256(json.dumps(rows, sort_keys=True)) == (
         "17883cef4bc0e55a2c7366298a3fd5e293aa3c841e9c0782e8d9171a65bb00fc")
+
+
+def test_analysis_reports_digest():
+    # every field of the minimal-length report of the eight golden rows,
+    # s_z0_u, v_x1_u and tau0/tau1 included, which the table pin omits
+    reports = [min_signature_length(*row_inputs(row))[1].to_dict()
+               for row in load_rows()]
+    assert _sha256(json.dumps(reports, sort_keys=True)) == (
+        "cf63c9efa90facd9ae888b2d3913970f800d4f5ab78ccfc3d38393620578e337")

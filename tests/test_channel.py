@@ -10,7 +10,7 @@ CFG = IntensityConfig(mu=0.5, nu=0.1, p_mu=0.7, p_nu=0.3,
                       p_z=0.75, p_x=0.25)
 MODEL = ChannelModel(loss_db=10.0, detector_efficiency=1.0,
                      dark_count_prob=1e-7, misalignment=0.01,
-                     pulse_rate_hz=1e9, receiver_loss_db=0.0)
+                     pulse_rate_hz=1e9)
 
 
 def test_click_probability_formula():
@@ -34,7 +34,7 @@ def test_error_probability_bounded():
     # with zero misalignment and no darks, errors vanish
     clean = ChannelModel(loss_db=10.0, detector_efficiency=1.0,
                          dark_count_prob=0.0, misalignment=0.0,
-                         pulse_rate_hz=1e9, receiver_loss_db=0.0)
+                         pulse_rate_hz=1e9)
     assert error_probability(0.5, clean) == 0.0
 
 
@@ -102,6 +102,6 @@ def test_loss_reduces_yield():
     low = simulate_kgp(400_000, CFG, MODEL, seed=5)
     lossy = ChannelModel(loss_db=25.0, detector_efficiency=1.0,
                          dark_count_prob=1e-7, misalignment=0.01,
-                         pulse_rate_hz=1e9, receiver_loss_db=0.0)
+                         pulse_rate_hz=1e9)
     high = simulate_kgp(400_000, CFG, lossy, seed=5)
     assert high.tally.n_z_total < low.tally.n_z_total

@@ -21,7 +21,7 @@ ROUNDED_CFG = IntensityConfig(mu=0.5, nu=0.1, p_mu=0.768, p_nu=0.233,
                               p_z=0.75, p_x=0.251)
 MODEL = ChannelModel(loss_db=10.0, detector_efficiency=1.0,
                      dark_count_prob=1e-7, misalignment=0.01,
-                     pulse_rate_hz=1e9, receiver_loss_db=0.0)
+                     pulse_rate_hz=1e9)
 FIELDS = ("n_z_mu", "n_z_nu", "m_z_mu", "m_z_nu",
           "n_x_mu", "n_x_nu", "m_x_mu", "m_x_nu")
 

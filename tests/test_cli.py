@@ -71,6 +71,20 @@ def test_analyze_all_zero_tally(workdir, capsys):
         assert "link insecure:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("basis", ["x", "z"])
+def test_analyze_error_free_basis(workdir, basis):
+    # no errors in one basis: an empty error sample has no deviation
+    with open(GOLDEN) as fh:
+        doc = json.load(fh)
+    for inten in ("mu", "nu"):
+        doc["tally"][f"m_{basis}_{inten}"] = 0
+    (workdir / "clean.json").write_text(json.dumps(doc))
+    assert main(["analyze", "clean.json", "--out", "report.json"]) == EXIT_OK
+    report = json.loads((workdir / "report.json").read_text())
+    assert report["signature_len_bits"] < 776
+    assert report["eps"] <= 1e-7
+
+
 def test_keygen_sign_verify_accept_flow(workdir):
     assert main(["keygen-sim", "--bits", "4096", "--seed", "5",
                  "--out-dir", "keys"]) == EXIT_OK
@@ -266,9 +280,27 @@ def test_reproduce_table_runs(workdir, capsys):
 
 
 def test_simulate_bad_config(workdir):
-    (workdir / "cfg.json").write_text("{}")
+    for text in ("{}", "[]"):
+        (workdir / "cfg.json").write_text(text)
+        assert main(["simulate", "--config", "cfg.json",
+                     "--out-dir", "out"]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("dotted", [
+    "transport", "ec_passes", "protocl_seed", "links.bob.ec_passes",
+    "links.charlie.channel.receiver_loss_db", "targets.lambda_ec_bits"])
+def test_simulate_rejects_unknown_key(workdir, capsys, dotted):
+    *path, key = dotted.split(".")
+    cfg = json.loads((pkg_files("qdsnet.data") / "demo_10db.json").read_text())
+    section = cfg
+    for name in path:
+        section = section[name]
+    section[key] = 0
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
     assert main(["simulate", "--config", "cfg.json",
                  "--out-dir", "out"]) == EXIT_PARSE
+    assert key in capsys.readouterr().err
+    assert not (workdir / "out").exists()
 
 
 def test_simulate_missing_config(workdir):

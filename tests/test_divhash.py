@@ -81,12 +81,12 @@ def test_hash_against_long_division_oracle():
 
 @settings(max_examples=40, deadline=None)
 @given(L=st.integers(1, 146).map(lambda k: 8 * k),
-       rng_seed=st.integers(0, 2**64 - 1), data=st.data())
-def test_blockwise_hash_matches_per_byte_reference(L, rng_seed, data):
+       root=st.integers(0, 2**64 - 1), data=st.data())
+def test_blockwise_hash_matches_per_byte_reference(L, root, data):
     # block edges: one byte short of a block, a block, one byte over
     d = L // 8
     n = data.draw(st.integers(1, 3 * d + 1), label="message length")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(root)
     seed = _seed(rng, L)
     p = derive_modulus(seed)
     for size in {n, max(d - 1, 1), d, d + 1}:

@@ -94,14 +94,16 @@ def test_vacuum_bounds_ordering_all_rows():
 
 def test_single_photon_bound_published_row():
     tally, cfg, targets = _golden_row()
-    s1 = single_photon_lower(tally, cfg, targets.eps_sf, "z")
+    s1 = single_photon_lower(tally, cfg, targets.eps_sf, "z",
+                             vacuum_upper(tally, cfg, targets.eps_sf, "z"))
     assert s1 == pytest.approx(5642925, rel=0.02)   # tabulated value
 
 
 def test_phase_error_published_row():
     tally, cfg, targets = _golden_row()
-    s_z1, s_x1 = (single_photon_lower(tally, cfg, targets.eps_sf, basis)
-                  for basis in ("z", "x"))
+    s_z1, s_x1 = (single_photon_lower(
+        tally, cfg, targets.eps_sf, basis,
+        vacuum_upper(tally, cfg, targets.eps_sf, basis)) for basis in ("z", "x"))
     v_x1 = vx1_upper(tally, cfg, targets.eps_sf)
     phi = phase_error_upper(s_z1, s_x1, v_x1, targets.eps_sf)
     assert 0.0 <= phi <= 0.5
@@ -132,8 +134,8 @@ def test_link_bounds_evaluates_each_bound_once(monkeypatch):
     assert link_bounds(tally, cfg, targets) == want
     assert calls.count("single_photon_lower") == 2    # Z and X
     assert calls.count("vx1_upper") == 1
-    # once for s_z0_u, once inside each single-photon bound
-    assert calls.count("vacuum_upper") == 3
+    # once for s_z0_u, which the Z bound reuses, and once for the X bound
+    assert calls.count("vacuum_upper") == 2
 
 
 def test_error_rate_published_row():

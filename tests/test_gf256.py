@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qdsnet.gf256 import (INV, MUL, Poly, gf_inv, gf_mul, is_irreducible,
-                          poly_divmod, poly_gcd, poly_mod, poly_mul)
+from qdsnet.gf256 import (INV, MUL, Poly, gf_inv, is_irreducible, poly_divmod,
+                          poly_gcd, poly_mod)
 
 from helpers import (ben_or_irreducible, build_log_tables,
                      count_irreducible_degree2, has_root, log_table_mul,
@@ -21,7 +21,7 @@ def test_mul_table_against_log_oracle():
 def test_mul_agrees_with_shift_and_add_sample():
     rng = np.random.default_rng(1)
     for a, b in rng.integers(0, 256, (500, 2)):
-        assert gf_mul(int(a), int(b)) == slow_gf_mul(int(a), int(b))
+        assert MUL[a, b] == slow_gf_mul(int(a), int(b))
 
 
 def test_field_axioms_spot():
@@ -29,18 +29,18 @@ def test_field_axioms_spot():
     trips = rng.integers(0, 256, (200, 3))
     for a, b, c in trips:
         a, b, c = int(a), int(b), int(c)
-        assert gf_mul(a, b) == gf_mul(b, a)
-        assert gf_mul(a, gf_mul(b, c)) == gf_mul(gf_mul(a, b), c)
+        assert MUL[a, b] == MUL[b, a]
+        assert MUL[a, MUL[b, c]] == MUL[MUL[a, b], c]
         # distributivity over xor-addition
-        assert gf_mul(a, b ^ c) == gf_mul(a, b) ^ gf_mul(a, c)
+        assert MUL[a, b ^ c] == MUL[a, b] ^ MUL[a, c]
     for a in range(256):
-        assert gf_mul(a, 1) == a
-        assert gf_mul(a, 0) == 0
+        assert MUL[a, 1] == a
+        assert MUL[a, 0] == 0
 
 
 def test_inverse_table():
     for a in range(1, 256):
-        assert gf_mul(a, gf_inv(a)) == 1
+        assert MUL[a, gf_inv(a)] == 1
     assert INV[0] == 0
     with pytest.raises(ZeroDivisionError):
         gf_inv(0)
@@ -56,14 +56,8 @@ def test_poly_normalization():
     assert not Poly([2, 2, 3]).is_monic()
 
 
-def test_poly_mul_against_convolution_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        a = list(rng.integers(0, 256, rng.integers(1, 9)))
-        b = list(rng.integers(0, 256, rng.integers(1, 9)))
-        got = poly_mul(Poly(a), Poly(b))
-        want = slow_poly_mul([int(x) for x in a], [int(x) for x in b])
-        assert list(got.coeffs) == want
+def _mul(a: Poly, b: Poly) -> Poly:
+    return Poly(slow_poly_mul(a.coeffs.tolist(), b.coeffs.tolist()))
 
 
 def test_poly_divmod_reconstruction():
@@ -75,7 +69,7 @@ def test_poly_divmod_reconstruction():
             continue
         q, r = poly_divmod(num, den)
         assert r.degree < den.degree
-        recon = poly_mul(q, den)
+        recon = _mul(q, den)
         recon = Poly(np.concatenate([
             np.zeros(max(0, len(r.coeffs) - len(recon.coeffs)), np.uint8),
             recon.coeffs]))
@@ -112,8 +106,8 @@ def test_poly_gcd_divides_both():
 
 def test_gcd_detects_common_factor():
     f = Poly([1, 7])  # x + 7
-    a = poly_mul(f, Poly([1, 3, 9]))
-    b = poly_mul(f, Poly([1, 200]))
+    a = _mul(f, Poly([1, 3, 9]))
+    b = _mul(f, Poly([1, 200]))
     g = poly_gcd(a, b)
     assert poly_mod(g, f).is_zero()
     assert g.degree >= 1
