@@ -102,8 +102,6 @@ class Poly:
         return f"Poly(deg={self.degree}, {bytes(self.coeffs).hex()})"
 
 
-X = Poly([1, 0])
-ONE = Poly([1])
 ZERO = Poly([])
 
 

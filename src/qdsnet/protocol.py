@@ -163,6 +163,8 @@ def verify_as_receiver(bundle: SignatureBundle, own: KeyShare,
                        peer: KeyShare) -> VerifyDecision:
     """Recombine shares, unmask, and compare digests."""
     L = bundle.signature_len_bits
+    if L == 0:
+        return VerifyDecision(False, "malformed-bundle: empty signature")
     if (len(own.x_key) != L or len(peer.x_key) != L
             or len(own.y_key) != L or len(peer.y_key) != L):
         return VerifyDecision(False, "malformed-bundle: share length mismatch")

@@ -2,31 +2,29 @@
 
 A run config names two quantum links (Bob's and Charlie's, each with
 source intensities, a channel model, a pulse budget, and a seed), the
-security targets, and the document to sign.  run_simulation drives the
-whole pipeline and returns a deterministic, JSON-ready outcome record:
+security targets, and the document to sign.  run_simulation takes each
+link in turn through
 
-    simulate both links -> reconcile Alice's copies -> security
-    analysis with the measured leakage -> form the three key stores ->
-    one signing round over recorded endpoints -> decisions + bounds.
+    simulate -> reconcile Alice's copy -> minimal length from the leakage
 
-Every random choice derives from config seeds, so identical configs
-produce byte-identical outcome files.
+then forms both reports at the common length, the three key stores and
+one signing round over recorded endpoints.  Every random choice derives
+from config seeds, so identical configs give byte-identical outcomes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
 from .cascade import ReconciliationConfig, reconcile
-from .channel import ChannelModel, SiftedBatch, simulate_kgp
+from .channel import ChannelModel, simulate_kgp
 from .finitekey import (AnalysisError, IntensityConfig, SecurityTargets,
                         min_signature_length, report_at_length)
-from .protocol import (MessagingOutcome, SignatureBundle, connect_parties,
-                       run_distribution, run_messaging)
+from .protocol import (SignatureBundle, connect_parties, run_distribution,
+                       run_messaging)
 
 
 class RunError(RuntimeError):
@@ -35,6 +33,12 @@ class RunError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(message)
         self.stage = stage
+
+
+def _nonnegative(name: str, value) -> int:
+    if int(value) < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return int(value)
 
 
 def _require_known(where: str, d: dict, known: tuple[str, ...]) -> None:
@@ -57,7 +61,8 @@ class LinkConfig:
         _require_known("link", d, ("intensity", "channel", "n_pulses", "seed"))
         return cls(intensity=IntensityConfig(**d["intensity"]),
                    channel=ChannelModel(**d["channel"]),
-                   n_pulses=int(d["n_pulses"]), seed=int(d["seed"]))
+                   n_pulses=_nonnegative("link n_pulses", d["n_pulses"]),
+                   seed=_nonnegative("link seed", d["seed"]))
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,8 @@ class RunConfig:
                    targets=SecurityTargets(**targets),
                    message_path=d["message_path"],
                    tamper=bool(d.get("tamper", False)),
-                   protocol_seed=int(d.get("protocol_seed", 2024)))
+                   protocol_seed=_nonnegative(
+                       "protocol_seed", d.get("protocol_seed", 2024)))
 
     @classmethod
     def from_json(cls, path: str) -> "RunConfig":
@@ -106,17 +112,10 @@ def _tamper_one_byte(bundle: SignatureBundle) -> SignatureBundle:
     return SignatureBundle(bundle.sig, bytes(altered), bundle.p_a)
 
 
-def _transcript_dict(transcripts: dict) -> dict:
-    return {pair: [e.to_dict() for e in log]
-            for pair, log in sorted(transcripts.items())}
-
-
-def run_simulation(config: RunConfig,
-                   message: Optional[bytes] = None) -> dict:
+def run_simulation(config: RunConfig, message: bytes | None = None) -> dict:
     """Execute one full signing run; returns the outcome record.
 
-    message overrides the config's message_path (used by harnesses that
-    generate documents on the fly).
+    message, if given, replaces the document at config.message_path.
     """
     if message is None:
         try:
@@ -126,86 +125,59 @@ def run_simulation(config: RunConfig,
             raise RunError("config", f"cannot read message: {exc}")
     if not message:
         raise RunError("config", "refusing to sign an empty document")
+    m_bits = 8 * len(message)
 
-    links = {"bob": config.link_bob, "charlie": config.link_charlie}
-
-    batches: dict[str, SiftedBatch] = {}
-    for name, link in links.items():
+    # one record per link; its sifted bits are dropped once reconciled
+    links = {}
+    for idx, (name, link) in enumerate((("bob", config.link_bob),
+                                        ("charlie", config.link_charlie))):
         batch = simulate_kgp(link.n_pulses, link.intensity, link.channel,
                              link.seed)
-        if batch.tally.n_z_total < 16:
+        tally = batch.tally
+        if tally.n_z_total < 16:
             raise RunError("simulation",
                            f"{name} link produced almost no sifted bits")
-        batches[name] = batch
-
-    # error correction: Alice corrects her copy toward each sender's
-    ec_results = {}
-    lambda_ec = {}
-    qber = {}
-    for idx, (name, batch) in enumerate(batches.items()):
+        # Alice corrects her copy toward the sender's
         ec_cfg = ReconciliationConfig(
-            round_key_len=1_000_000, eps_cor=config.targets.eps_cor,
+            eps_cor=config.targets.eps_cor,
             seed=_derived_seed(config.protocol_seed, 1, idx))
         cor, ref = reconcile(batch.alice_bits, batch.sender_bits, ec_cfg)
+        del batch
         if not (cor.verified and ref.verified):
             raise RunError("reconciliation",
                            f"{name} link failed verification")
-        ec_results[name] = (cor, ref)
-        lambda_ec[name] = cor.leakage_bits
-        qber[name] = batch.tally.e_z
-
-    # security analysis with the measured disclosure
-    m_bits = 8 * len(message)
-    targets = {name: replace(config.targets, message_len_bits=m_bits,
-                             lambda_ec_bits=lambda_ec[name])
-               for name in batches}
-    lengths = {}
-    for name, batch in batches.items():
+        targets = replace(config.targets, message_len_bits=m_bits,
+                          lambda_ec_bits=cor.leakage_bits)
         try:
-            lengths[name], _ = min_signature_length(
-                batch.tally, links[name].intensity, targets[name])
+            length, _ = min_signature_length(tally, link.intensity, targets)
         except AnalysisError as exc:
             raise RunError("security", f"{name} link insecure: {exc}")
-    signature_len = max(lengths.values())
+        links[name] = {"intensity": link.intensity, "tally": tally,
+                       "ec": (cor, ref), "targets": targets,
+                       "length": length}
 
     # both links must meet the target at the common (larger) length
-    final_reports = {}
-    for name, batch in batches.items():
-        rep = report_at_length(batch.tally, links[name].intensity,
-                               targets[name], signature_len)
-        if rep.eps > config.targets.eps_target:
-            raise RunError("security",
-                           f"{name} link misses the target at the common "
-                           f"signature length")
-        final_reports[name] = rep
-    eps_final = max(rep.eps for rep in final_reports.values())
-    rate_final = min(rep.signature_rate_tps
-                     for rep in final_reports.values())
+    signature_len = max(rec["length"] for rec in links.values())
+    for name, rec in links.items():
+        rec["report"] = report_at_length(rec["tally"], rec["intensity"],
+                                         rec["targets"], signature_len)
+        if rec["report"].eps > config.targets.eps_target:
+            raise RunError("security", f"{name} link misses the target at "
+                           "the common signature length")
 
     # distribution: truncate to the shorter link before the key algebra
-    n_common = min(len(ec_results[n][0].corrected_key)
-                   for n in ("bob", "charlie"))
+    n_common = min(len(rec["ec"][0].corrected_key) for rec in links.values())
+    stores = run_distribution(*(
+        tuple(replace(r, corrected_key=r.corrected_key[:n_common])
+              for r in links[name]["ec"]) for name in ("bob", "charlie")))
 
-    def _trim(result):
-        return replace(result, corrected_key=result.corrected_key[:n_common])
-
-    alice_store, bob_store, charlie_store = run_distribution(
-        tuple(_trim(r) for r in ec_results["bob"]),
-        tuple(_trim(r) for r in ec_results["charlie"]))
-
-    parties, transcripts = connect_parties(alice_store, bob_store,
-                                           charlie_store)
-    try:
-        outcome: MessagingOutcome = run_messaging(
-            parties, message, signature_len_bits=signature_len,
-            position_seed=_derived_seed(config.protocol_seed, 2, 0),
-            p_seed=_derived_seed(config.protocol_seed, 2, 1),
-            tamper=_tamper_one_byte if config.tamper else None,
-            transcripts=transcripts)
-    finally:
-        for party in parties.values():
-            for endpoint in party.endpoints.values():
-                endpoint.close()
+    parties, transcripts = connect_parties(*stores)
+    outcome = run_messaging(
+        parties, message, signature_len_bits=signature_len,
+        position_seed=_derived_seed(config.protocol_seed, 2, 0),
+        p_seed=_derived_seed(config.protocol_seed, 2, 1),
+        tamper=_tamper_one_byte if config.tamper else None,
+        transcripts=transcripts)
     if outcome.status != "ok":
         raise RunError("protocol", outcome.error)
 
@@ -216,18 +188,20 @@ def run_simulation(config: RunConfig,
         "reasons": {"bob": outcome.bob_reason,
                     "charlie": outcome.charlie_reason},
         "signature_len_bits": signature_len,
-        "eps": eps_final,
-        "signature_rate_tps": rate_final,
+        "eps": max(rec["report"].eps for rec in links.values()),
+        "signature_rate_tps": min(rec["report"].signature_rate_tps
+                                  for rec in links.values()),
         "message_len_bits": m_bits,
         "tampered": config.tamper,
         "links": {name: {
-            "n_z": batches[name].tally.n_z_total,
-            "qber": qber[name],
-            "lambda_ec_bits": lambda_ec[name],
-            "min_signature_len_bits": lengths[name],
-            "report": final_reports[name].to_dict(),
-        } for name in ("bob", "charlie")},
-        "transcripts": _transcript_dict(outcome.transcripts),
+            "n_z": rec["tally"].n_z_total,
+            "qber": rec["tally"].e_z,
+            "lambda_ec_bits": rec["targets"].lambda_ec_bits,
+            "min_signature_len_bits": rec["length"],
+            "report": rec["report"].to_dict(),
+        } for name, rec in links.items()},
+        "transcripts": {pair: [e.to_dict() for e in log]
+                        for pair, log in sorted(outcome.transcripts.items())},
     }
 
 

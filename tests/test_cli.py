@@ -14,8 +14,10 @@ import qdsnet.files
 from qdsnet.cli import (EXIT_KEY_EXHAUSTED, EXIT_OK, EXIT_PARSE, EXIT_REJECT,
                         EXIT_SECURITY, main)
 from qdsnet.files import (read_announcement, read_bundle, read_store,
-                          store_lock, write_store)
-from qdsnet.protocol import select_positions
+                          store_lock, write_announcement, write_bundle,
+                          write_store)
+from qdsnet.protocol import (PositionAnnouncement, SignatureBundle,
+                             select_positions)
 
 GOLDEN = str(pkg_files("qdsnet.data") / "table2_100km_AC.json")
 
@@ -173,6 +175,18 @@ def test_sign_crash_after_store_write_spends_positions(workdir, monkeypatch):
     assert not spent & set(read_announcement("a.bin").positions)
 
 
+def test_verify_zero_length_bundle_is_rejected(workdir, capsys):
+    _keys_and_doc(workdir)
+    empty = np.zeros(0, dtype=np.uint8)
+    write_bundle(SignatureBundle(empty, b"doc", empty), "b.bin")
+    write_announcement(PositionAnnouncement(()), "a.bin")
+    assert main(VERIFY) == EXIT_OK
+    assert main(["verify", "--bundle", "b.bin", "--announce", "a.bin",
+                 "--store", "k/charlie.store",
+                 "--peer-share", "s.bin"]) == EXIT_REJECT
+    assert "malformed-bundle: empty signature" in capsys.readouterr().out
+
+
 def test_verify_crash_after_store_write_spends_share(workdir, monkeypatch):
     _keys_and_doc(workdir)
     assert main(SIGN) == EXIT_OK
@@ -279,11 +293,24 @@ def test_reproduce_table_runs(workdir, capsys):
     assert len(parsed["rows"]) == 8
 
 
-def test_simulate_bad_config(workdir):
-    for text in ("{}", "[]"):
+def test_simulate_bad_config(workdir, capsys):
+    demo = json.loads((pkg_files("qdsnet.data") / "demo_10db.json").read_text())
+    cases = [("{}", ""), ("[]", "")]
+    # negative seeds and pulse budgets fail when the config is read
+    negative = (("links", "bob", "seed"), ("links", "charlie", "n_pulses"),
+                ("protocol_seed",))
+    for *path, key in negative:
+        cfg = copy.deepcopy(demo)
+        section = cfg
+        for name in path:
+            section = section[name]
+        section[key] = -1
+        cases.append((json.dumps(cfg), key))
+    for text, key in cases:
         (workdir / "cfg.json").write_text(text)
         assert main(["simulate", "--config", "cfg.json",
                      "--out-dir", "out"]) == EXIT_PARSE
+        assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dotted", [

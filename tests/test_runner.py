@@ -88,6 +88,23 @@ def test_starved_link_is_simulation_error():
     assert err.value.stage == "simulation"
 
 
+def test_first_failing_link_names_the_stage():
+    # the links run one after the other: Bob's insecure link stops the
+    # run before Charlie's starved link is simulated
+    short = LinkConfig(intensity=IntensityConfig(**_INTENSITY),
+                       channel=ChannelModel(**_CHANNEL),
+                       n_pulses=200_000, seed=3)
+    starved = LinkConfig(intensity=IntensityConfig(**_INTENSITY),
+                         channel=ChannelModel(**{**_CHANNEL,
+                                                 "loss_db": 80.0}),
+                         n_pulses=100_000, seed=1)
+    with pytest.raises(RunError) as err:
+        run_simulation(_small_config(link_bob=short, link_charlie=starved),
+                       message=MESSAGE)
+    assert err.value.stage == "security"
+    assert str(err.value).startswith("bob link insecure")
+
+
 def test_unreachable_target_is_security_error():
     tight = SecurityTargets(eps_sf=1e-10, eps_cor=1e-10, eps_target=1e-40)
     with pytest.raises(RunError) as err:
