@@ -5,10 +5,13 @@ reference role (Bob or Charlie) holds the authoritative key and answers
 parity queries; the corrector role (Alice) locates errors by comparing
 block parities and binary-searching mismatched blocks, flipping her own
 bits.  Both parties derive each pass's shuffle from the shared seed, so
-no permutation ever crosses the wire.  Neither role does I/O: the
-reference maps each request frame to its reply, the corrector is a
-generator that yields requests and is sent the replies, and reconcile()
-drives both from the calling thread over a frame channel.
+no permutation ever crosses the wire.  A process-level memo of the last
+two draws, returned read-only, lets both roles of an in-process session
+share each draw: the corrector opens pass p just before the reference
+first answers on it.  Neither role does I/O: the reference maps each
+request frame to its reply, the corrector is a generator that yields
+requests and is sent the replies, and reconcile() drives both from the
+calling thread over a frame channel.
 
 Each chunk runs MIN_PASSES passes, then more while the latest found
 errors, up to MAX_TOTAL_PASSES; later passes reshuffle with larger
@@ -18,16 +21,22 @@ pass, re-queueing blocks whose parity now mismatches (cross-pass error
 back-propagation).  Mismatched blocks of one pass are binary-searched in
 lockstep as lo/hi arrays, one batched request of (chunk, pass, lo, hi)
 rows per depth level, which keeps round-trips logarithmic while leaving
-the per-bit disclosure count identical to sequential search.  Both
-roles keep prefix parities P with P[0] = 0, so [lo, hi) has parity
-P[hi] ^ P[lo].
+the per-bit disclosure count identical to sequential search.  Prefix
+parities P with P[0] = 0 give [lo, hi) the parity P[hi] ^ P[lo]; the
+reference keeps them over each whole shuffled chunk, while the corrector
+builds them per search from the mismatched blocks alone, one row per
+block, so a late pass with a few open blocks touches a few thousand bits
+rather than the whole chunk.
 
 Verification exchanges a short universal-hash tag: a polynomial
 evaluation hash over GF(2^64) keyed by the shared seed, followed by a
 seeded multiplier and truncation to ceil(log2(1/eps_cor)) bits.  The
 multiplier step makes the truncated family pairwise-uniform, so the
 false-accept probability is about 2^-34 at eps_cor = 1e-10 regardless
-of key length.
+of key length.  The key is hashed in blocks of _TAG_BLOCK words: zero
+words padded in front leave the Horner value unchanged, each block's
+sum of word * alpha^(B - t) is one numpy gather from byte-lane tables
+of alpha^B ... alpha^1, and Horner then steps over blocks with alpha^B.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ MIN_PASSES = 3
 MAX_TOTAL_PASSES = 20
 _MASK64 = (1 << 64) - 1
 _POLY64_LOW = 0x1B  # x^64 + x^4 + x^3 + x + 1
+_TAG_BLOCK = 64  # words per Horner step of the tag hash
 
 
 class InconsistentParitiesError(ValueError):
@@ -103,9 +113,14 @@ def _gf64_mul(a: int, b: int) -> int:
     return r
 
 
-@lru_cache(maxsize=256)
-def _session_tables(seed: int) -> tuple[tuple, int]:
-    """Byte-windowed multiply-by-alpha tables and the output multiplier."""
+@lru_cache(maxsize=4)
+def _session_tables(seed: int) -> tuple[np.ndarray, tuple, int]:
+    """Block-sum lanes, multiply-by-alpha^B tables and the output multiplier.
+
+    lanes[(t * 8 + p) * 256 + b] is the product of byte b, at byte
+    position p of a big-endian word, with alpha^(B - t), the weight of
+    word t of a block.  They take 1 MB per seed, so few are kept.
+    """
     rng = np.random.default_rng(seed)
     alpha = 0
     while alpha == 0:
@@ -114,17 +129,23 @@ def _session_tables(seed: int) -> tuple[tuple, int]:
     while beta == 0:
         beta = int(rng.integers(0, 1 << 64, dtype=np.uint64))
 
-    pows = [alpha]  # alpha * x^i for i < 64
-    for _ in range(63):
-        pows.append(_xtime64(pows[-1]))
-    tables = []
-    for j in range(0, 64, 8):
-        # entry b is the product of byte b, as a polynomial, with x^j alpha
-        table = [0]
-        for p in pows[j:j + 8]:
-            table += [v ^ p for v in table]
-        tables.append(tuple(table))
-    return tuple(tables), beta
+    powers = [alpha]  # alpha^1 .. alpha^B
+    for _ in range(_TAG_BLOCK - 1):
+        powers.append(_gf64_mul(powers[-1], alpha))
+    basis = np.empty((64, _TAG_BLOCK), dtype=np.uint64)
+    basis[0] = powers[::-1]  # basis[i, t] = x^i alpha^(B - t)
+    for i in range(1, 64):
+        prev = basis[i - 1]
+        basis[i] = (prev << 1) ^ (prev >> 63) * _POLY64_LOW
+    # entry b of lane j is the product of byte b, as bits 8j .. 8j + 7,
+    # with the word's power
+    lanes = np.zeros((_TAG_BLOCK, 8, 1), dtype=np.uint64)
+    for i in range(8):
+        lanes = np.concatenate([lanes, lanes ^ basis[i::8].T[:, :, None]],
+                               axis=2)
+    horner = tuple(lane.tolist() for lane in lanes[0])
+    # a big-endian word holds lane 7 - p at byte position p
+    return lanes[:, ::-1].reshape(-1), horner, beta
 
 
 def tag_bit_count(eps_cor: float) -> int:
@@ -138,20 +159,27 @@ def _hash_tag(key_bits: np.ndarray, eps_cor: float, seed: int
               ) -> tuple[int, bytes]:
     """(n_bits, tag) for one key string under the shared seed."""
     n_bits = tag_bit_count(eps_cor)
-    tables, beta = _session_tables(seed)
-    t0, t1, t2, t3, t4, t5, t6, t7 = tables
+    lanes, horner, beta = _session_tables(seed)
+    t0, t1, t2, t3, t4, t5, t6, t7 = horner
 
     data = pack_bits(key_bits)
-    pad = (-len(data)) % 8
-    words = np.frombuffer(data + b"\x00" * pad, dtype=">u8").tolist()
+    n_words = -(-len(data) // 8)
+    n_blocks = -(-n_words // _TAG_BLOCK)
+    # zero words in front leave the Horner value unchanged; zero bytes
+    # behind complete the last word
+    padded = np.zeros(n_blocks * _TAG_BLOCK * 8, dtype=np.uint8)
+    front = (n_blocks * _TAG_BLOCK - n_words) * 8
+    padded[front:front + len(data)] = np.frombuffer(data, dtype=np.uint8)
+    index = (padded.reshape(n_blocks, _TAG_BLOCK * 8)
+             + np.arange(0, _TAG_BLOCK * 8 * 256, 256))
+    sums = np.bitwise_xor.reduce(lanes[index], axis=1).tolist()
 
     acc = 0
-    for c in words:
-        a = acc ^ c
-        acc = (t0[a & 0xFF] ^ t1[(a >> 8) & 0xFF] ^ t2[(a >> 16) & 0xFF]
-               ^ t3[(a >> 24) & 0xFF] ^ t4[(a >> 32) & 0xFF]
-               ^ t5[(a >> 40) & 0xFF] ^ t6[(a >> 48) & 0xFF]
-               ^ t7[(a >> 56) & 0xFF])
+    for s in sums:
+        acc = (t0[acc & 0xFF] ^ t1[(acc >> 8) & 0xFF] ^ t2[(acc >> 16) & 0xFF]
+               ^ t3[(acc >> 24) & 0xFF] ^ t4[(acc >> 32) & 0xFF]
+               ^ t5[(acc >> 40) & 0xFF] ^ t6[(acc >> 48) & 0xFF]
+               ^ t7[(acc >> 56) & 0xFF] ^ s)
     acc = _gf64_mul(acc, beta)
     tag_int = acc & ((1 << n_bits) - 1)
     return n_bits, tag_int.to_bytes((n_bits + 7) // 8, "big")
@@ -170,10 +198,16 @@ def verify(key_a, key_b, eps_cor: float, seed: int) -> tuple[bool, int]:
 
 # --- shared permutation derivation -----------------------------------------
 
+@lru_cache(maxsize=2)
 def _pass_permutation(seed: int, chunk: int, pass_id: int, m: int) -> np.ndarray:
+    """The read-only shuffle of one (chunk, pass).  The last two draws
+    are kept, so a reference answering in the corrector's process
+    reuses the draw the corrector has just made for the same pass."""
     rng = np.random.default_rng(np.random.SeedSequence(seed,
                                                        spawn_key=(chunk, pass_id)))
-    return rng.permutation(m)
+    perm = rng.permutation(m)
+    perm.flags.writeable = False
+    return perm
 
 
 def _chunk_bounds(n: int, round_key_len: int) -> list[tuple[int, int]]:
@@ -297,15 +331,23 @@ class CorrectorRole:
         """
         perm, _, k, mismatch = passes[q]
         m = len(perm)
-        prefix = _prefix_parities(key_chunk[perm])
-        lo = np.flatnonzero(mismatch) * k
-        hi = np.minimum(lo + k, m)
+        start = np.flatnonzero(mismatch) * k
+        lo, hi = start.copy(), np.minimum(start + k, m)
+        # prefix parities of the searched blocks only, one row per block;
+        # the clamped cells past the chunk's end are never read
+        cells = np.minimum(start[:, None] + np.arange(k), m - 1)
+        prefix = np.zeros((len(start), k + 1), dtype=np.uint8)
+        np.bitwise_xor.accumulate(key_chunk[perm[cells]], axis=1,
+                                  out=prefix[:, 1:])
         active = np.flatnonzero(hi - lo > 1)
         while active.size:
             a_lo, a_hi = lo[active], hi[active]
             mid = (a_lo + a_hi) // 2
             ref_left = yield from self._ask(chunk_idx, q + 1, a_lo, mid)
-            left_has_error = (prefix[mid] ^ prefix[a_lo]) != ref_left
+            base = start[active]
+            own_left = (prefix[active, mid - base]
+                        ^ prefix[active, a_lo - base])
+            left_has_error = own_left != ref_left
             hi[active] = np.where(left_has_error, mid, a_hi)
             lo[active] = np.where(left_has_error, a_lo, mid)
             active = active[hi[active] - lo[active] > 1]
@@ -328,8 +370,9 @@ class CorrectorRole:
             if pass_id == 1:
                 k = block_length(self.estimate, self.cfg.round_key_len)
             elif pass_id == 2:
-                k = block_length(max(found_pass1 / m, 0.001),
-                                 self.cfg.round_key_len)
+                # a chunk of a few bits can find more than half wrong
+                rate = min(max(found_pass1 / m, 0.001), 0.5)
+                k = block_length(rate, self.cfg.round_key_len)
             else:
                 k = 2 * passes[-1][2]
             k = max(1, min(k, m))

@@ -36,9 +36,17 @@ class RunError(RuntimeError):
 
 
 def _nonnegative(name: str, value) -> int:
-    if int(value) < 0:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
-    return int(value)
+    return value
+
+
+def _boolean(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def _require_known(where: str, d: dict, known: tuple[str, ...]) -> None:
@@ -91,7 +99,7 @@ class RunConfig:
                    link_charlie=LinkConfig.from_dict(links["charlie"]),
                    targets=SecurityTargets(**targets),
                    message_path=d["message_path"],
-                   tamper=bool(d.get("tamper", False)),
+                   tamper=_boolean("tamper", d.get("tamper", False)),
                    protocol_seed=_nonnegative(
                        "protocol_seed", d.get("protocol_seed", 2024)))
 

@@ -7,7 +7,11 @@ the package's table-driven implementations.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from qdsnet.cascade import CorrectorRole, _prefix_parities
 
 # ---------------------------------------------------------------------------
 # GF(256) scalar arithmetic, shift-and-add with explicit reduction
@@ -349,3 +353,90 @@ def slow_parities(key, cfg, opened: set, items) -> list[int]:
         bits.append(par)
     opened.update(prefixes)
     return bits
+
+
+# ---------------------------------------------------------------------------
+# Reconciliation: the per-word tag hash, the whole-chunk bisection, and a
+# driver that records every frame of a session
+
+
+def slow_gf64_mul(a: int, b: int) -> int:
+    """Shift-and-add product modulo x^64 + x^4 + x^3 + x + 1."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        b >>= 1
+        a <<= 1
+        if a >> 64:
+            a ^= (1 << 64) | 0x1B
+    return acc
+
+
+def slow_hash_tag(key_bits, eps_cor: float, seed: int) -> tuple[int, bytes]:
+    """(n_bits, tag) of the verification hash, one Horner step per word.
+
+    The key's bits, packed big-endian and zero-padded to whole 64-bit
+    big-endian words c_1 .. c_n, give sum(c_i alpha^(n + 1 - i)); that
+    times beta, truncated to ceil(log2(1/eps_cor)) bits, is the tag.
+    alpha and beta are the first nonzero 64-bit draws from the seed.
+    """
+    n_bits = math.ceil(math.log2(1.0 / eps_cor))
+    rng = np.random.default_rng(seed)
+    alpha = beta = 0
+    while alpha == 0:
+        alpha = int(rng.integers(0, 1 << 64, dtype=np.uint64))
+    while beta == 0:
+        beta = int(rng.integers(0, 1 << 64, dtype=np.uint64))
+    data = np.packbits(np.asarray(key_bits, dtype=np.uint8)).tobytes()
+    data += bytes(-len(data) % 8)
+    acc = 0
+    for i in range(0, len(data), 8):
+        acc = slow_gf64_mul(acc ^ int.from_bytes(data[i:i + 8], "big"), alpha)
+    tag = slow_gf64_mul(acc, beta) & ((1 << n_bits) - 1)
+    return n_bits, tag.to_bytes((n_bits + 7) // 8, "big")
+
+
+class FullPrefixCorrector(CorrectorRole):
+    """CorrectorRole whose searches read prefix parities of the whole
+    shuffled chunk, rebuilt for every wave."""
+
+    def _wave(self, chunk_idx, passes, q, key_chunk):
+        perm, _, k, mismatch = passes[q]
+        m = len(perm)
+        prefix = _prefix_parities(key_chunk[perm])
+        lo = np.flatnonzero(mismatch) * k
+        hi = np.minimum(lo + k, m)
+        active = np.flatnonzero(hi - lo > 1)
+        while active.size:
+            a_lo, a_hi = lo[active], hi[active]
+            mid = (a_lo + a_hi) // 2
+            ref_left = yield from self._ask(chunk_idx, q + 1, a_lo, mid)
+            left_has_error = (prefix[mid] ^ prefix[a_lo]) != ref_left
+            hi[active] = np.where(left_has_error, mid, a_hi)
+            lo[active] = np.where(left_has_error, a_lo, mid)
+            active = active[hi[active] - lo[active] > 1]
+
+        rel = perm[lo]
+        key_chunk[rel] ^= 1
+        for _, inv, k_r, mismatch_r in passes:
+            np.logical_xor.at(mismatch_r, inv[rel] // k_r, True)
+        return len(rel)
+
+
+def drive_session(corrector, reference) -> tuple[list, object]:
+    """Run a corrector against a reference role directly.
+
+    Returns every (request, reply) frame pair in order and the
+    corrector's ReconciliationResult.
+    """
+    frames = []
+    steps = corrector.run()
+    request = next(steps)
+    try:
+        while True:
+            reply = reference.answer(request)
+            frames.append((request, reply))
+            request = steps.send(reply)
+    except StopIteration as done:
+        return frames, done.value

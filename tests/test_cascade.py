@@ -3,18 +3,19 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdsnet.cascade import (MAX_TOTAL_PASSES, CorrectorRole,
                             InconsistentParitiesError, ReconciliationConfig,
-                            ReferenceRole, block_length, reconcile,
-                            tag_bit_count, verify)
+                            ReferenceRole, _hash_tag, _pass_permutation,
+                            block_length, reconcile, tag_bit_count, verify)
 from qdsnet.finitekey import binary_entropy
 from qdsnet.framing import (FrameError, ParityAnswer, ParityRequest,
                             TagExchange, VerifyDecision, parse_payload)
 
-from helpers import slow_parities
+from helpers import (FullPrefixCorrector, drive_session, slow_hash_tag,
+                     slow_parities)
 
 
 def _pair(n, n_err, seed):
@@ -157,6 +158,16 @@ def test_determinism_across_runs():
     assert np.array_equal(r1[0].corrected_key, r2[0].corrected_key)
 
 
+def test_short_last_chunk_with_errors():
+    # the 1-bit last chunk is wrong, so pass 1 finds all of it wrong
+    ref = np.zeros(1001, dtype=np.uint8)
+    noisy = ref.copy()
+    noisy[[0, 1, 2, 1000]] = 1
+    cor, srv = reconcile(noisy, ref, ReconciliationConfig(round_key_len=1000))
+    assert cor.verified and srv.verified
+    assert np.array_equal(cor.corrected_key, ref)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ReconciliationConfig(round_key_len=0, eps_cor=1e-10, seed=0)
@@ -294,3 +305,77 @@ def test_array_answer_matches_per_item_reference(session):
         assert bits.tolist() == want
         assert ref.leakage == leaked + len(want)
         assert set(ref._prefix_cache) == opened
+
+
+# 4096 bits are one block of 64 words; the other lengths end inside a
+# word, inside a block, or one word past a block
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 5000),
+       seed=st.one_of(st.just(2**63 + 5), st.integers(0, 2**64 - 1)),
+       eps_cor=st.sampled_from([1e-10, 1e-19]))
+@example(n=0, seed=0, eps_cor=1e-10)
+@example(n=4096, seed=2**63 + 5, eps_cor=1e-19)
+@example(n=4097, seed=1, eps_cor=1e-10)
+@example(n=4160, seed=2, eps_cor=1e-19)
+@example(n=63, seed=3, eps_cor=1e-10)
+def test_hash_tag_matches_per_word_loop(n, seed, eps_cor):
+    key = np.random.default_rng([n, seed]).integers(0, 2, n, dtype=np.uint8)
+    assert _hash_tag(key, eps_cor, seed) == slow_hash_tag(key, eps_cor, seed)
+
+
+def _summary(res):
+    return (res.corrected_key.tolist(), res.leakage_bits, res.verified,
+            res.rounds_used)
+
+
+# up to 10% errors, so extra passes and back-propagation run, and chunks
+# from a few bits (blocks cut short at the chunk end) to the whole key
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3000), error_rate=st.floats(0.0, 0.1),
+       round_key_len=st.integers(1, 4000), seed=st.integers(0, 2**32 - 1))
+@example(n=3000, error_rate=0.08, round_key_len=4000, seed=1)
+@example(n=2999, error_rate=0.05, round_key_len=700, seed=2)
+def test_block_local_search_matches_full_prefix(n, error_rate,
+                                                round_key_len, seed):
+    noisy, ref = _pair(n, int(error_rate * n), seed)
+    estimate = float(np.count_nonzero(noisy != ref)) / n
+    cfg = ReconciliationConfig(round_key_len=round_key_len, seed=seed)
+    runs = []
+    for cls in (CorrectorRole, FullPrefixCorrector):
+        reference = ReferenceRole(ref, cfg)
+        frames, cor = drive_session(cls(noisy, cfg, estimate), reference)
+        runs.append((frames, _summary(cor), _summary(reference.result())))
+    assert runs[0] == runs[1]
+
+
+def test_one_permutation_draw_per_pass():
+    # 6% errors in three chunks: some chunk runs an extra pass
+    noisy, ref = _pair(60_000, 3_600, seed=41)
+    cfg = ReconciliationConfig(round_key_len=20_000, seed=12)
+    _pass_permutation.cache_clear()
+    _, srv = reconcile(noisy, ref, cfg)
+    assert srv.rounds_used > 3 * 3
+    # the corrector draws each pass; the reference reuses that draw
+    info = _pass_permutation.cache_info()
+    assert info.misses == info.hits == srv.rounds_used
+
+
+def test_permutation_is_read_only():
+    perm = _pass_permutation(13, 0, 1, 100)
+    with pytest.raises(ValueError):
+        perm[0] = 1
+    assert np.array_equal(np.sort(perm), np.arange(100))
+
+
+def test_reference_replay_needs_no_shared_draw():
+    # a reference that draws every permutation itself answers alike
+    noisy, ref = _pair(20_000, 600, seed=42)
+    cfg = ReconciliationConfig(round_key_len=8_000, seed=14)
+    frames, cor = drive_session(CorrectorRole(noisy, cfg, 0.03),
+                                ReferenceRole(ref, cfg))
+    assert cor.verified
+    replay = ReferenceRole(ref, cfg)
+    for request, reply in frames:
+        _pass_permutation.cache_clear()
+        assert replay.answer(request) == reply
+    assert _summary(replay.result())[1:] == _summary(cor)[1:]

@@ -299,12 +299,22 @@ def test_simulate_bad_config(workdir, capsys):
     # negative seeds and pulse budgets fail when the config is read
     negative = (("links", "bob", "seed"), ("links", "charlie", "n_pulses"),
                 ("protocol_seed",))
-    for *path, key in negative:
+    # so do a non-integer count or seed and a non-boolean tamper flag,
+    # which the reader once coerced
+    mistyped = [(("links", "bob", "n_pulses"), 25000000.7),
+                (("links", "charlie", "n_pulses"), "1000"),
+                (("links", "bob", "seed"), 1.0),
+                (("links", "charlie", "seed"), True),
+                (("protocol_seed",), 2024.5),
+                (("protocol_seed",), None),
+                (("tamper",), "false"),
+                (("tamper",), 0)]
+    for (*path, key), value in [(p, -1) for p in negative] + mistyped:
         cfg = copy.deepcopy(demo)
         section = cfg
         for name in path:
             section = section[name]
-        section[key] = -1
+        section[key] = value
         cases.append((json.dumps(cfg), key))
     for text, key in cases:
         (workdir / "cfg.json").write_text(text)
