@@ -37,14 +37,14 @@ class ChannelModel:
     pulse_rate_hz: float = 5e7
 
     def __post_init__(self):
-        if self.loss_db < 0:
-            raise ValueError("loss_db must be nonnegative")
+        if not 0 <= self.loss_db < math.inf:
+            raise ValueError("loss_db must be finite and nonnegative")
         for name in ("detector_efficiency", "dark_count_prob", "misalignment"):
             v = getattr(self, name)
             if not 0 <= v <= 1:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.pulse_rate_hz <= 0:
-            raise ValueError("pulse_rate_hz must be positive")
+        if not 0 < self.pulse_rate_hz < math.inf:
+            raise ValueError("pulse_rate_hz must be finite and positive")
 
     @property
     def eta(self) -> float:

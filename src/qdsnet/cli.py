@@ -46,8 +46,8 @@ _STAGE_CODES = {
 }
 
 def cmd_analyze(args) -> int:
-    from .finitekey import (AnalysisError, DetectionTally, IntensityConfig,
-                            SecurityTargets, min_signature_length)
+    from .finitekey import AnalysisError, min_signature_length
+    from .table2 import row_inputs
     try:
         with open(args.tally) as fh:
             doc = json.load(fh)
@@ -55,25 +55,16 @@ def cmd_analyze(args) -> int:
         print(f"error: cannot parse tally file: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
+    flags = {field: getattr(args, flag) for flag, field in (
+        ("eps_target", "eps_target"), ("eps_sf", "eps_sf"),
+        ("eps_cor", "eps_cor"), ("message_bits", "message_len_bits"),
+        ("lambda_ec", "lambda_ec_bits")) if getattr(args, flag) is not None}
     try:
-        tally = DetectionTally(**doc["tally"])
-        intensity = IntensityConfig(**doc["intensity"])
-        target_fields = dict(doc.get("targets", {}))
+        row = {**doc}
+        row["targets"] = {**row.get("targets", {}), **flags}
+        tally, intensity, targets = row_inputs(row)
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: invalid tally file field: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    for flag, field in (("eps_target", "eps_target"), ("eps_sf", "eps_sf"),
-                        ("eps_cor", "eps_cor"),
-                        ("message_bits", "message_len_bits"),
-                        ("lambda_ec", "lambda_ec_bits")):
-        value = getattr(args, flag)
-        if value is not None:
-            target_fields[field] = value
-    try:
-        targets = SecurityTargets(**target_fields)
-    except (TypeError, ValueError) as exc:
-        print(f"error: invalid targets: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
     try:
@@ -177,8 +168,8 @@ def _one_time(seed: int | None) -> int:
 
 def cmd_sign(args) -> int:
     from .files import (FileFormatError, read_store, store_lock,
-                        write_announcement, write_bundle, write_store)
-    from .protocol import KeyExhaustedError, select_positions, sign
+                        write_message, write_store)
+    from .protocol import KeyExhaustedError, alice_sign
     try:
         with open(args.message, "rb") as fh:
             message = fh.read()
@@ -197,8 +188,9 @@ def cmd_sign(args) -> int:
             print(f"error: cannot load store: {exc}", file=sys.stderr)
             return EXIT_PARSE
         try:
-            ann = select_positions(store, args.length,
-                                   _one_time(args.position_seed))
+            (ann, bundle), _ = alice_sign(
+                store, message, args.length, _one_time(args.position_seed),
+                _one_time(args.p_seed))
         except KeyExhaustedError as exc:
             print(f"key exhausted: {exc}", file=sys.stderr)
             return EXIT_KEY_EXHAUSTED
@@ -206,31 +198,26 @@ def cmd_sign(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
 
-        L = args.length
-        x_a = store.bits_at(ann.positions[:L])
-        y_a = store.bits_at(ann.positions[L:])
-        bundle = sign(message, x_a, y_a, _one_time(args.p_seed))
-
         # consumption becomes durable before anything reveals the positions
         write_store(store, args.store)
-    write_bundle(bundle, args.out)
-    write_announcement(ann, args.announce)
+    write_message(bundle, args.out)
+    write_message(ann, args.announce)
     print(f"bundle written to {args.out}")
     print(f"announcement written to {args.announce}")
-    print(f"{2 * L} key bits consumed; {store.available} remain")
+    print(f"{2 * args.length} key bits consumed; {store.available} remain")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    from .files import (FileFormatError, read_announcement, read_bundle,
-                        read_share, read_store, store_lock, write_share,
-                        write_store)
-    from .protocol import (KeyExhaustedError, KeyReuseError, extract_share,
-                           verify_as_receiver)
+    from .files import (FileFormatError, read_message, read_store, store_lock,
+                        write_message, write_store)
+    from .protocol import (KeyExhaustedError, KeyReuseError, KeyShare,
+                           PositionAnnouncement, SignatureBundle,
+                           extract_share, verify_as_receiver)
     with contextlib.ExitStack() as held:
         try:
-            bundle = read_bundle(args.bundle)
-            ann = read_announcement(args.announce)
+            bundle = read_message(args.bundle, SignatureBundle)
+            ann = read_message(args.announce, PositionAnnouncement)
             held.enter_context(store_lock(args.store))
             store = read_store(args.store)
         except (OSError, FileFormatError, ValueError) as exc:
@@ -248,7 +235,7 @@ def cmd_verify(args) -> int:
 
         write_store(store, args.store)
     if args.share_out:
-        write_share(own, args.share_out)
+        write_message(own, args.share_out)
         print(f"own share written to {args.share_out}")
 
     if not args.peer_share:
@@ -257,7 +244,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK
 
     try:
-        peer = read_share(args.peer_share)
+        peer = read_message(args.peer_share, KeyShare)
     except (OSError, FileFormatError) as exc:
         print(f"error: cannot load peer share: {exc}", file=sys.stderr)
         return EXIT_PARSE

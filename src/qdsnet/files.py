@@ -7,8 +7,9 @@ The CLI writes the store before the bundle, announcement or share that
 reveals the consumed positions, so a crash between the two writes
 leaves those positions spent, never reusable.  It holds store_lock from
 reading a store to writing it back, so concurrent runs never share a mask.
-Bundles, announcements, and shares are single wire frames written to
-disk unchanged, so files and network traffic share one codec.
+Bundles, announcements, and shares are the frames the in-process round
+sends, written to disk unchanged by write_message and read back by
+read_message, so files and network traffic share one codec.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ import os
 import struct
 import tempfile
 
-from .framing import (ROLE_CODES, ROLE_NAMES, Frame, KeyShare, MsgType,
-                      PositionAnnouncement, SignatureBundle, decode_frame,
-                      encode_frame, pack_bits, parse_payload, unpack_bits)
+from .framing import (ROLE_CODES, ROLE_NAMES, decode_frame, encode_frame,
+                      pack_bits, parse_payload, unpack_bits)
 from .protocol import KeyStore
 
 STORE_MAGIC = b"QDSK"
@@ -92,45 +92,24 @@ def read_store(path: str) -> KeyStore:
         return store_from_bytes(fh.read())
 
 
-def _write_frame_file(frame: Frame, path: str) -> None:
+def write_message(message, path: str) -> None:
+    """Write one protocol message as the frame the in-process round sends."""
     with open(path, "wb") as fh:
-        fh.write(encode_frame(frame))
+        fh.write(encode_frame(message.encode()))
 
 
-def _read_frame_file(path: str, expected: MsgType):
+def read_message(path: str, expected: type):
+    """Read a file holding exactly one frame that parses as expected."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         frame, used = decode_frame(data)
         if used != len(data):
             raise FileFormatError("trailing bytes after frame")
-        if frame.msg_type != expected:
-            raise FileFormatError(f"expected a {expected.name} frame, "
-                                  f"found {frame.msg_type.name}")
-        return parse_payload(frame)
+        message = parse_payload(frame)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
-
-
-def write_bundle(bundle: SignatureBundle, path: str) -> None:
-    _write_frame_file(bundle.encode(), path)
-
-
-def read_bundle(path: str) -> SignatureBundle:
-    return _read_frame_file(path, MsgType.SIGNATURE_BUNDLE)
-
-
-def write_announcement(ann: PositionAnnouncement, path: str) -> None:
-    _write_frame_file(ann.encode(), path)
-
-
-def read_announcement(path: str) -> PositionAnnouncement:
-    return _read_frame_file(path, MsgType.POSITION_ANNOUNCEMENT)
-
-
-def write_share(share: KeyShare, path: str) -> None:
-    _write_frame_file(share.encode(), path)
-
-
-def read_share(path: str) -> KeyShare:
-    return _read_frame_file(path, MsgType.KEY_SHARE)
+    if not isinstance(message, expected):
+        raise FileFormatError(f"{path}: expected a {expected.__name__}, "
+                              f"found a {type(message).__name__}")
+    return message

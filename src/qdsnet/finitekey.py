@@ -58,8 +58,8 @@ class IntensityConfig:
     p_x: float
 
     def __post_init__(self):
-        if not 0 < self.nu < self.mu:
-            raise ValueError("need 0 < nu < mu")
+        if not 0 < self.nu < self.mu < math.inf:
+            raise ValueError("need 0 < nu < mu, mu finite")
         for name in ("p_mu", "p_nu", "p_z", "p_x"):
             v = getattr(self, name)
             if not 0 < v < 1:
@@ -97,7 +97,7 @@ class DetectionTally:
         for name in ("n_z_mu", "n_z_nu", "m_z_mu", "m_z_nu",
                      "n_x_mu", "n_x_nu", "m_x_mu", "m_x_nu", "n_z_total"):
             v = getattr(self, name)
-            if v < 0 or v != int(v):
+            if not 0 <= v < math.inf or v != int(v):
                 raise ValueError(f"{name} must be a nonnegative integer")
         for basis in ("z", "x"):
             for inten in ("mu", "nu"):
@@ -107,8 +107,9 @@ class DetectionTally:
                     raise ValueError(f"m_{basis}_{inten} exceeds n_{basis}_{inten}")
         if self.n_z_total != self.n_z_mu + self.n_z_nu:
             raise ValueError("n_z_total must equal n_z_mu + n_z_nu")
-        if self.accumulation_time_s < 0:
-            raise ValueError("accumulation_time_s must be nonnegative")
+        if not 0 <= self.accumulation_time_s < math.inf:
+            raise ValueError("accumulation_time_s must be finite and "
+                             "nonnegative")
 
     def detections(self, basis: str, inten: str) -> int:
         return getattr(self, f"n_{basis}_{inten}")
@@ -145,8 +146,9 @@ class SecurityTargets:
                 raise ValueError(f"{name} must be in (0, 1)")
         if self.message_len_bits < 8 or self.message_len_bits % 8:
             raise ValueError("message_len_bits must be a positive multiple of 8")
-        if self.lambda_ec_bits is not None and self.lambda_ec_bits < 0:
-            raise ValueError("lambda_ec_bits must be nonnegative")
+        if (self.lambda_ec_bits is not None
+                and not 0 <= self.lambda_ec_bits < math.inf):
+            raise ValueError("lambda_ec_bits must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -368,7 +370,8 @@ def security_bounds(h_n: float, message_len_bits: int, eps_cor: float
         eps_for = message_len_bits / 8 * 2.0 ** (1.0 - h_n)
     except OverflowError:
         eps_for = math.inf
-    return eps_rob, eps_rep, eps_for, max(eps_rob, eps_rep, eps_for)
+    # eps_for first, so that a NaN forgery bound is the result
+    return eps_rob, eps_rep, eps_for, max(eps_for, eps_rob, eps_rep)
 
 
 @dataclass(frozen=True)

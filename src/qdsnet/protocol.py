@@ -74,12 +74,6 @@ class KeyStore:
     def available(self) -> int:
         return int(len(self.key_bits) - np.count_nonzero(self.used_mask))
 
-    def bits_at(self, positions) -> np.ndarray:
-        idx = np.asarray(positions, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= len(self.key_bits)):
-            raise ValueError("position out of range")
-        return self.key_bits[idx].copy()
-
     def consume(self, positions) -> np.ndarray:
         """Return the bits at positions and mark them used, exactly once."""
         idx = np.asarray(positions, dtype=np.int64)
@@ -243,10 +237,10 @@ def _expect(peer: str, msg_type: MsgType, out: list = ()):
 def alice_sign(store: KeyStore, message: bytes, L: int, position_seed,
                p_seed):
     """Signer: announces the positions to both receivers, signs to Bob.
-    Takes no frames; returns (result, the pairs to send)."""
+    Takes no frames; returns ((announcement, bundle), the pairs to send)."""
     ann = select_positions(store, L, position_seed)
-    bundle = sign(message, store.bits_at(ann.positions[:L]),
-                  store.bits_at(ann.positions[L:]), p_seed)
+    bits = store.key_bits[list(ann.positions)]
+    bundle = sign(message, bits[:L], bits[L:], p_seed)
     announce = ann.encode()
     return (ann, bundle), [(ROLE_BOB, announce), (ROLE_CHARLIE, announce),
                            (ROLE_BOB, bundle.encode())]

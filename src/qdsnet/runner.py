@@ -43,9 +43,9 @@ def _nonnegative(name: str, value) -> int:
     return value
 
 
-def _boolean(name: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
+def _typed(name: str, value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
     return value
 
 
@@ -98,8 +98,10 @@ class RunConfig:
         return cls(link_bob=LinkConfig.from_dict(links["bob"]),
                    link_charlie=LinkConfig.from_dict(links["charlie"]),
                    targets=SecurityTargets(**targets),
-                   message_path=d["message_path"],
-                   tamper=_boolean("tamper", d.get("tamper", False)),
+                   message_path=_typed("message_path", d["message_path"],
+                                       str, "a string"),
+                   tamper=_typed("tamper", d.get("tamper", False), bool,
+                                 "true or false"),
                    protocol_seed=_nonnegative(
                        "protocol_seed", d.get("protocol_seed", 2024)))
 

@@ -144,15 +144,13 @@ def test_criterion_3a_tampering_trials(capsys):
 
 
 def test_criterion_3b_random_key_forgeries(capsys):
-    from qdsnet.protocol import (SignatureBundle, extract_share,
-                                 select_positions, sign, verify_as_receiver)
+    from qdsnet.protocol import (SignatureBundle, alice_sign, extract_share,
+                                 verify_as_receiver)
 
     L = 64
     alice, bob, charlie = synthetic_stores(4000, seed=77)
     message = b"the honest document, 32 bytes..."
-    ann = select_positions(alice, L, seed=1)
-    bundle = sign(message, alice.bits_at(ann.positions[:L]),
-                  alice.bits_at(ann.positions[L:]), p_seed=2)
+    (ann, bundle), _ = alice_sign(alice, message, L, 1, 2)
     share_b = extract_share(bob, ann)
     share_c = extract_share(charlie, ann)
     assert verify_as_receiver(bundle, share_c, share_b).accept
@@ -175,8 +173,8 @@ def test_criterion_3b_random_key_forgeries(capsys):
 
 def test_criterion_3c_exhaustive_byte_perturbation(capsys):
     from qdsnet.divhash import HashSeed, derive_modulus, hash_document
-    from qdsnet.protocol import (SignatureBundle, extract_share,
-                                 select_positions, sign, verify_as_receiver)
+    from qdsnet.protocol import (SignatureBundle, alice_sign, extract_share,
+                                 verify_as_receiver)
 
     L = 16
     n_bytes = 64
@@ -219,9 +217,7 @@ def test_criterion_3c_exhaustive_byte_perturbation(capsys):
 
     # decision rule end to end at L=16: accept exactly on digest match
     alice, bob, charlie = synthetic_stores(1000, seed=111)
-    ann = select_positions(alice, L, seed=3)
-    bundle = sign(message.tobytes(), alice.bits_at(ann.positions[:L]),
-                  alice.bits_at(ann.positions[L:]), p_seed=4)
+    (ann, bundle), _ = alice_sign(alice, message.tobytes(), L, 3, 4)
     share_b = extract_share(bob, ann)
     share_c = extract_share(charlie, ann)
     rule_ok = True

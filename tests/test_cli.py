@@ -13,11 +13,11 @@ import pytest
 import qdsnet.files
 from qdsnet.cli import (EXIT_KEY_EXHAUSTED, EXIT_OK, EXIT_PARSE, EXIT_REJECT,
                         EXIT_SECURITY, main)
-from qdsnet.files import (read_announcement, read_bundle, read_store,
-                          store_lock, write_announcement, write_bundle,
-                          write_store)
+from qdsnet.files import (read_message, read_store, store_lock,
+                          write_message, write_store)
+from qdsnet.framing import encode_frame
 from qdsnet.protocol import (PositionAnnouncement, SignatureBundle,
-                             select_positions)
+                             alice_sign, select_positions)
 
 GOLDEN = str(pkg_files("qdsnet.data") / "table2_100km_AC.json")
 
@@ -53,8 +53,30 @@ def test_analyze_unparseable_file(workdir):
 
 
 def test_analyze_missing_field(workdir):
-    (workdir / "empty.json").write_text("{}")
-    assert main(["analyze", "empty.json"]) == EXIT_PARSE
+    # an empty object, and documents that are no object at all
+    for text in ("{}", "[]", '"tally"', "7", "null"):
+        (workdir / "empty.json").write_text(text)
+        assert main(["analyze", "empty.json"]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("targets", "lambda_ec_bits", "NaN"),
+    ("targets", "lambda_ec_bits", "Infinity"),
+    ("tally", "n_x_mu", "Infinity"),
+    ("tally", "m_z_nu", "1e400"),
+    ("tally", "n_z_mu", "NaN"),
+    ("tally", "accumulation_time_s", "NaN"),
+    ("tally", "accumulation_time_s", "Infinity"),
+    ("intensity", "mu", "Infinity")])
+def test_analyze_non_finite_input(workdir, capsys, section, key, value):
+    # NaN once passed as secure (L = 8) and Infinity crashed the tally
+    with open(pkg_files("qdsnet.data") / "table2_50km_AB.json") as fh:
+        doc = json.load(fh)
+    doc[section][key] = "VALUE"
+    (workdir / "row.json").write_text(
+        json.dumps(doc).replace('"VALUE"', value))
+    assert main(["analyze", "row.json"]) == EXIT_PARSE
+    assert key in capsys.readouterr().err
 
 
 def test_analyze_all_zero_tally(workdir, capsys):
@@ -112,13 +134,11 @@ def test_tampered_bundle_rejected(workdir):
     main(["sign", "--message", "doc.bin", "--store", "k/alice.store",
           "--length", "128", "--out", "bundle.bin", "--announce", "ann.bin"])
 
-    from qdsnet.files import write_bundle
-    from qdsnet.protocol import SignatureBundle
-    b = read_bundle("bundle.bin")
+    b = read_message("bundle.bin", SignatureBundle)
     msg = bytearray(b.message)
     msg[0] ^= 0x01
-    write_bundle(SignatureBundle(sig=b.sig, message=bytes(msg), p_a=b.p_a),
-                 "tampered.bin")
+    write_message(SignatureBundle(sig=b.sig, message=bytes(msg), p_a=b.p_a),
+                  "tampered.bin")
 
     assert main(["verify", "--bundle", "tampered.bin", "--announce",
                  "ann.bin", "--store", "k/bob.store",
@@ -165,21 +185,23 @@ def _keys_and_doc(workdir):
 def test_sign_crash_after_store_write_spends_positions(workdir, monkeypatch):
     _keys_and_doc(workdir)
     with monkeypatch.context() as m:
-        m.setattr(qdsnet.files, "write_bundle", _crash)
+        m.setattr(qdsnet.files, "write_message", _crash)
         with pytest.raises(Crash):
             main(SIGN)
+    assert not (workdir / "b.bin").exists()
     spent = set(np.flatnonzero(read_store("k/alice.store").used_mask))
     assert len(spent) == 128
     # the same position seed on the crashed store picks fresh positions
     assert main(SIGN) == EXIT_OK
-    assert not spent & set(read_announcement("a.bin").positions)
+    ann = read_message("a.bin", PositionAnnouncement)
+    assert not spent & set(ann.positions)
 
 
 def test_verify_zero_length_bundle_is_rejected(workdir, capsys):
     _keys_and_doc(workdir)
     empty = np.zeros(0, dtype=np.uint8)
-    write_bundle(SignatureBundle(empty, b"doc", empty), "b.bin")
-    write_announcement(PositionAnnouncement(()), "a.bin")
+    write_message(SignatureBundle(empty, b"doc", empty), "b.bin")
+    write_message(PositionAnnouncement(()), "a.bin")
     assert main(VERIFY) == EXIT_OK
     assert main(["verify", "--bundle", "b.bin", "--announce", "a.bin",
                  "--store", "k/charlie.store",
@@ -191,7 +213,7 @@ def test_verify_crash_after_store_write_spends_share(workdir, monkeypatch):
     _keys_and_doc(workdir)
     assert main(SIGN) == EXIT_OK
     with monkeypatch.context() as m:
-        m.setattr(qdsnet.files, "write_share", _crash)
+        m.setattr(qdsnet.files, "write_message", _crash)
         with pytest.raises(Crash):
             main(VERIFY)
     assert not (workdir / "s.bin").exists()
@@ -237,7 +259,7 @@ def test_concurrent_sign_waits_for_the_store_lock(workdir):
         proc.wait()
     assert waited
     assert rc == EXIT_OK
-    second = read_announcement("a.bin").positions
+    second = read_message("a.bin", PositionAnnouncement).positions
     spent = set(np.flatnonzero(read_store("k/alice.store").used_mask))
     assert spent == set(first) | set(second)
     assert len(spent) == 4 * 64
@@ -254,13 +276,24 @@ def test_sign_draws_fresh_seeds_unless_given(workdir):
         assert main(["sign", "--message", "doc.bin", "--store",
                      "k/alice.store", "--length", "64", "--out", "b.bin",
                      "--announce", "a.bin", *seeds]) == EXIT_OK
-        return (read_bundle("b.bin").p_a.tobytes(),
-                read_announcement("a.bin").positions)
+        return (read_message("b.bin", SignatureBundle).p_a.tobytes(),
+                read_message("a.bin", PositionAnnouncement).positions)
 
     fixed = ("--position-seed", "3")
     assert sign(*fixed)[0] != sign(*fixed)[0]
     assert sign()[1] != sign()[1]
     assert sign(*fixed, "--p-seed", "0") == sign(*fixed, "--p-seed", "0")
+
+
+def test_sign_writes_the_frames_alice_sign_sends(workdir):
+    # the CLI signer is the in-process round's signer step, byte for byte
+    _keys_and_doc(workdir)
+    store = read_store("k/alice.store")
+    assert main([*SIGN, "--p-seed", "4"]) == EXIT_OK
+    _, ((_, announce), _, (_, bundle)) = alice_sign(
+        store, (workdir / "doc.bin").read_bytes(), 64, 3, 4)
+    assert (workdir / "b.bin").read_bytes() == encode_frame(bundle)
+    assert (workdir / "a.bin").read_bytes() == encode_frame(announce)
 
 
 def test_sign_exhausts_small_store(workdir):
@@ -308,7 +341,14 @@ def test_simulate_bad_config(workdir, capsys):
                 (("protocol_seed",), 2024.5),
                 (("protocol_seed",), None),
                 (("tamper",), "false"),
-                (("tamper",), 0)]
+                (("tamper",), 0),
+                # non-finite physics once crashed or wrote NaN into JSON
+                (("links", "bob", "channel", "loss_db"), float("nan")),
+                (("links", "charlie", "channel", "pulse_rate_hz"),
+                 float("nan")),
+                # a non-string path was once opened as a file descriptor
+                (("message_path",), 0),
+                (("message_path",), True)]
     for (*path, key), value in [(p, -1) for p in negative] + mistyped:
         cfg = copy.deepcopy(demo)
         section = cfg

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from qdsnet.files import (FileFormatError, read_announcement, read_bundle,
-                          read_share, read_store, store_from_bytes,
-                          store_to_bytes, write_announcement, write_bundle,
-                          write_share, write_store)
+from qdsnet.files import (FileFormatError, read_message, read_store,
+                          store_from_bytes, store_to_bytes, write_message,
+                          write_store)
 from qdsnet.protocol import (KeyShare, KeyStore, PositionAnnouncement,
                              SignatureBundle)
 
@@ -68,7 +67,7 @@ def test_corrupt_frame_file_is_a_format_error(tmp_path):
     path = tmp_path / "b.bin"
     path.write_bytes(b"QDS1\x05\x00\x00\x00\x02\xff\xff")
     with pytest.raises(FileFormatError):
-        read_bundle(str(path))
+        read_message(str(path), SignatureBundle)
 
 
 def test_store_rejects_truncation():
@@ -98,8 +97,8 @@ def test_bundle_file_roundtrip(tmp_path):
                              message=b"doc body",
                              p_a=rng.integers(0, 2, 64, np.uint8))
     path = tmp_path / "b.bin"
-    write_bundle(bundle, str(path))
-    back = read_bundle(str(path))
+    write_message(bundle, str(path))
+    back = read_message(str(path), SignatureBundle)
     assert back.message == bundle.message
     assert np.array_equal(back.sig, bundle.sig)
     assert np.array_equal(back.p_a, bundle.p_a)
@@ -109,8 +108,9 @@ def test_bundle_file_roundtrip(tmp_path):
 def test_announcement_file_roundtrip(tmp_path):
     ann = PositionAnnouncement(positions=tuple(range(0, 512, 2)))
     path = tmp_path / "a.bin"
-    write_announcement(ann, str(path))
-    assert read_announcement(str(path)).positions == ann.positions
+    write_message(ann, str(path))
+    back = read_message(str(path), PositionAnnouncement)
+    assert back.positions == ann.positions
 
 
 def test_share_file_roundtrip(tmp_path):
@@ -118,26 +118,34 @@ def test_share_file_roundtrip(tmp_path):
                      y_key=np.array([0, 1, 1, 0, 1, 0, 0, 1], np.uint8),
                      role="bob")
     path = tmp_path / "s.bin"
-    write_share(share, str(path))
-    back = read_share(str(path))
+    write_message(share, str(path))
+    back = read_message(str(path), KeyShare)
     assert back.role == "bob"
     assert np.array_equal(back.x_key, share.x_key)
     assert np.array_equal(back.y_key, share.y_key)
 
 
 def test_frame_files_reject_wrong_type(tmp_path):
-    ann = PositionAnnouncement(positions=tuple(range(16)))
-    path = tmp_path / "a.bin"
-    write_announcement(ann, str(path))
-    with pytest.raises(FileFormatError):
-        read_bundle(str(path))
+    # every mismatched pair of the three message files
+    bits = np.array([1, 0, 1, 1, 0, 0, 1, 0], np.uint8)
+    messages = [PositionAnnouncement(positions=tuple(range(16))),
+                SignatureBundle(sig=bits, message=b"doc", p_a=bits),
+                KeyShare(x_key=bits, y_key=bits, role="bob")]
+    path = tmp_path / "m.bin"
+    for written in messages:
+        write_message(written, str(path))
+        for expected in {type(m) for m in messages} - {type(written)}:
+            with pytest.raises(FileFormatError) as info:
+                read_message(str(path), expected)
+            assert type(written).__name__ in str(info.value)
+            assert expected.__name__ in str(info.value)
 
 
 def test_frame_files_reject_trailing_garbage(tmp_path):
     ann = PositionAnnouncement(positions=tuple(range(16)))
     path = tmp_path / "a.bin"
-    write_announcement(ann, str(path))
+    write_message(ann, str(path))
     with open(path, "ab") as fh:
         fh.write(b"JUNK")
     with pytest.raises(FileFormatError):
-        read_announcement(str(path))
+        read_message(str(path), PositionAnnouncement)

@@ -10,8 +10,9 @@ from qdsnet.finitekey import (DetectionTally, IntensityConfig,
                               SecurityTargets, binary_entropy, gamma_upper,
                               link_bounds, min_signature_length,
                               phase_error_upper, report_at_length,
-                              signature_rate, single_photon_lower, tau,
-                              vacuum_lower, vacuum_upper, vx1_upper)
+                              security_bounds, signature_rate,
+                              single_photon_lower, tau, vacuum_lower,
+                              vacuum_upper, vx1_upper)
 
 from helpers import keyed_tally
 
@@ -183,6 +184,15 @@ def test_eps_components_structure():
     assert report.eps_rob == pytest.approx(2 * targets.eps_cor)
     assert report.eps_rep == 0.0
     assert report.eps == max(report.eps_rob, report.eps_rep, report.eps_for)
+
+
+def test_security_bounds_propagates_nan():
+    # a NaN forgery bound must not fall back to eps_rob and pass as secure
+    assert math.isnan(security_bounds(math.nan, 64, 1e-10)[3])
+    # finite bounds: the largest of the three, whichever it is
+    assert security_bounds(20.0, 64, 1e-10)[2:] == (8 * 2.0 ** -19,) * 2
+    rob, rep, forge, eps = security_bounds(200.0, 64, 1e-10)
+    assert eps == rob == 2e-10 > forge > rep == 0.0
 
 
 def test_report_serialization_keys():

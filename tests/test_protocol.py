@@ -5,9 +5,9 @@ from qdsnet import protocol
 from qdsnet.cascade import ReconciliationResult
 from qdsnet.protocol import (DistributionError, KeyExhaustedError, KeyReuseError,
                              KeyStore, PositionAnnouncement, SignatureBundle,
-                             VerifyDecision, connect_parties, extract_share,
-                             run_distribution, run_messaging,
-                             select_positions, sign, verify_as_receiver)
+                             VerifyDecision, alice_sign, connect_parties,
+                             extract_share, run_distribution, run_messaging,
+                             select_positions, verify_as_receiver)
 
 from helpers import synthetic_stores
 
@@ -27,7 +27,6 @@ def _recon_pair(bits):
 def test_keystore_basics():
     store = KeyStore.from_bits([1, 0, 1, 1, 0, 0, 1, 0], "bob")
     assert store.available == 8
-    assert list(store.bits_at([0, 2, 3])) == [1, 1, 1]
     store.consume([0, 1])
     assert store.available == 6
     with pytest.raises(KeyReuseError):
@@ -105,11 +104,7 @@ def test_extract_share_is_one_time():
 def test_sign_verify_honest_roundtrip():
     alice, bob, charlie = synthetic_stores(2000, seed=43)
     message = b"transfer 100 units to account 7"
-    ann = select_positions(alice, 64, seed=1)
-    L = 64
-    x_a = alice.bits_at(ann.positions[:L])
-    y_a = alice.bits_at(ann.positions[L:])
-    bundle = sign(message, x_a, y_a, p_seed=9)
+    (ann, bundle), _ = alice_sign(alice, message, 64, 1, 9)
     assert bundle.message == message
     assert bundle.signature_len_bits == 64
 
@@ -123,10 +118,7 @@ def test_sign_verify_honest_roundtrip():
 
 def test_verify_rejects_tampered_message():
     alice, bob, charlie = synthetic_stores(2000, seed=44)
-    ann = select_positions(alice, 64, seed=2)
-    x_a = alice.bits_at(ann.positions[:64])
-    y_a = alice.bits_at(ann.positions[64:])
-    bundle = sign(b"pay 10", x_a, y_a, p_seed=3)
+    (ann, bundle), _ = alice_sign(alice, b"pay 10", 64, 2, 3)
     forged = SignatureBundle(sig=bundle.sig, message=b"pay 99",
                              p_a=bundle.p_a)
     share_b = extract_share(bob, ann)
@@ -138,9 +130,7 @@ def test_verify_rejects_tampered_message():
 
 def test_verify_rejects_malformed_share_lengths():
     alice, bob, charlie = synthetic_stores(2000, seed=45)
-    ann = select_positions(alice, 64, seed=4)
-    bundle = sign(b"msg", alice.bits_at(ann.positions[:64]),
-                  alice.bits_at(ann.positions[64:]), p_seed=5)
+    (ann, bundle), _ = alice_sign(alice, b"msg", 64, 4, 5)
     share_b = extract_share(bob, ann)
     short = PositionAnnouncement(positions=tuple(range(64)))
     share_c = extract_share(charlie, short)
@@ -151,10 +141,8 @@ def test_verify_rejects_malformed_share_lengths():
 
 def test_sign_rejects_empty_message():
     alice, _, _ = synthetic_stores(500, seed=46)
-    ann = select_positions(alice, 64, seed=0)
     with pytest.raises(ValueError):
-        sign(b"", alice.bits_at(ann.positions[:64]),
-             alice.bits_at(ann.positions[64:]), p_seed=0)
+        alice_sign(alice, b"", 64, 0, 0)
 
 
 @pytest.mark.parametrize("transport", ["inproc", "socket"])
