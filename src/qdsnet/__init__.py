@@ -14,7 +14,7 @@ The package splits into layers that can be used independently:
 
 from .cascade import ReconciliationConfig, ReconciliationResult, reconcile
 from .channel import ChannelModel, simulate_kgp
-from .divhash import HashSeed, derive_modulus, hash_document
+from .divhash import derive_modulus, hash_document
 from .finitekey import (AnalysisError, DetectionTally,
                         InsufficientDataError, IntensityConfig,
                         LinkInsecureError, SecurityReport, SecurityTargets,
@@ -34,9 +34,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisError", "ChannelModel", "DetectionTally",
-    "DistributionError", "HashSeed", "InsufficientDataError",
-    "IntensityConfig", "KeyExhaustedError", "KeyReuseError", "KeyShare",
-    "KeyStore", "LinkInsecureError", "Poly", "PositionAnnouncement",
+    "DistributionError", "InsufficientDataError", "IntensityConfig",
+    "KeyExhaustedError", "KeyReuseError", "KeyShare", "KeyStore",
+    "LinkInsecureError", "Poly", "PositionAnnouncement",
     "ProtocolError", "ReconciliationConfig", "ReconciliationResult",
     "RunConfig", "RunError", "SecurityReport", "SecurityTargets",
     "SignatureBundle", "VerifyDecision", "connect_parties",

@@ -185,17 +185,6 @@ def _hash_tag(key_bits: np.ndarray, eps_cor: float, seed: int
     return n_bits, tag_int.to_bytes((n_bits + 7) // 8, "big")
 
 
-def verify(key_a, key_b, eps_cor: float, seed: int) -> tuple[bool, int]:
-    """Compare universal-hash tags; returns (equal, disclosed bit count)."""
-    a = np.asarray(key_a, dtype=np.uint8)
-    b = np.asarray(key_b, dtype=np.uint8)
-    if len(a) != len(b):
-        raise ValueError("keys must have equal length")
-    n_bits, tag_a = _hash_tag(a, eps_cor, seed)
-    _, tag_b = _hash_tag(b, eps_cor, seed)
-    return tag_a == tag_b, n_bits
-
-
 # --- shared permutation derivation -----------------------------------------
 
 @lru_cache(maxsize=2)
@@ -424,11 +413,11 @@ def reconcile(key_a, key_b, cfg: ReconciliationConfig,
               ) -> tuple[ReconciliationResult, ReconciliationResult]:
     """Run a full two-party reconciliation in-process.
 
-    key_a is the corrector's (Alice's) string, key_b the reference.  The
-    initial QBER estimate is the exact mismatch fraction, which the
-    harness can see even though neither role could; protocol callers
-    drive the roles directly and pass their own estimate.  If transcript
-    is a list it receives the corrector-side message log.
+    key_a is the corrector's (Alice's) string, key_b the reference.  No
+    other code runs the two roles, and this seeds pass 1 with the exact
+    mismatch fraction of the two keys, which neither role could know:
+    the leakage it reports rests on that oracle.  If transcript is a
+    list it receives the corrector-side message log.
     """
     from .transport import RecordingEndpoint, memory_pair
 

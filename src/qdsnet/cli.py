@@ -88,23 +88,22 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     from .runner import RunConfig, RunError, outcome_to_json, run_simulation
     try:
-        config = RunConfig.from_json(args.config)
+        with open(args.config) as fh:
+            config = RunConfig.from_dict(json.load(fh))
     except (OSError, json.JSONDecodeError, KeyError, TypeError,
             ValueError) as exc:
         print(f"error: invalid run config: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    message = None
-    if args.message:
-        try:
-            with open(args.message, "rb") as fh:
-                message = fh.read()
-        except OSError as exc:
-            print(f"error: cannot read message: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+    try:
+        with open(args.message or config.message_path, "rb") as fh:
+            message = fh.read()
+    except OSError as exc:
+        print(f"error: cannot read message: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
     try:
-        outcome = run_simulation(config, message=message)
+        outcome = run_simulation(config, message)
     except RunError as exc:
         print(f"{exc.stage} stage failed: {exc}", file=sys.stderr)
         return _STAGE_CODES.get(exc.stage, EXIT_ABORT)
@@ -319,7 +318,12 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(name)s %(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # an unwritable output path; whatever was made durable stays so
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ divided by the count of degree-L/8 irreducibles.
 
 Seeds are consumed once per signature: the signer transmits P masked by
 a one-time key, and both receiving ends re-derive the same p, so
-derive_modulus must be a pure deterministic function of the seed bits.
+derive_modulus must be a pure deterministic function of the seed.  A
+seed is P packed big-endian into L/8 bytes, as framing.pack_bits does.
 
 hash_document runs Horner's rule a block of L/8 bytes at a time, with
 a table of the products of every byte value and x^(L/8) .. x^(2L/8 - 1)
@@ -20,7 +21,6 @@ slow_hash_document, the reference it is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,25 +30,9 @@ from .gf256 import MUL, Poly, _x_powers, is_irreducible
 _WALK_CAP = 1 << 24
 
 
-@dataclass(frozen=True)
-class HashSeed:
-    """L-bit seed string; bits are packed big-endian into L/8 bytes."""
-
-    bits: bytes
-    digest_len_bits: int
-
-    def __post_init__(self):
-        if self.digest_len_bits < 8 or self.digest_len_bits % 8:
-            raise ValueError("digest length must be a positive multiple of 8 bits")
-        if len(self.bits) * 8 != self.digest_len_bits:
-            raise ValueError(
-                f"seed is {len(self.bits) * 8} bits, expected {self.digest_len_bits}"
-            )
-
-
 @lru_cache(maxsize=64)
-def derive_modulus(seed: HashSeed) -> Poly:
-    """Deterministic monic irreducible polynomial of degree L/8 from a seed.
+def derive_modulus(seed: bytes) -> Poly:
+    """Deterministic monic irreducible polynomial of degree d = len(seed).
 
     The seed bytes become the non-leading coefficients (first byte is the
     x^(d-1) coefficient, last byte the constant term).  If the candidate
@@ -57,8 +41,10 @@ def derive_modulus(seed: HashSeed) -> Poly:
     increment with carry, skip any candidate with zero constant term
     (always divisible by x), and wrap past the top coefficient.
     """
-    d = seed.digest_len_bits // 8
-    digits = bytearray(reversed(seed.bits))
+    d = len(seed)
+    if not d:
+        raise ValueError("the hash seed must not be empty")
+    digits = bytearray(reversed(seed))
     if digits[0] == 0:
         digits[0] = 1
     for _ in range(_WALK_CAP):
@@ -76,7 +62,7 @@ def derive_modulus(seed: HashSeed) -> Poly:
     raise RuntimeError("no irreducible modulus found; walk cap exceeded")
 
 
-def hash_document(message: bytes, seed: HashSeed) -> bytes:
+def hash_document(message: bytes, seed: bytes) -> bytes:
     """Digest of message under seed, as L/8 bytes.
 
     Blockwise Horner evaluation with d = L/8: the message is left-padded

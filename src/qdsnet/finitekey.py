@@ -23,6 +23,7 @@ length can be found by direct scan.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 EC_EFFICIENCY = 1.16
@@ -97,7 +98,8 @@ class DetectionTally:
         for name in ("n_z_mu", "n_z_nu", "m_z_mu", "m_z_nu",
                      "n_x_mu", "n_x_nu", "m_x_mu", "m_x_nu", "n_z_total"):
             v = getattr(self, name)
-            if not 0 <= v < math.inf or v != int(v):
+            if (not isinstance(v, numbers.Integral) or isinstance(v, bool)
+                    or v < 0):
                 raise ValueError(f"{name} must be a nonnegative integer")
         for basis in ("z", "x"):
             for inten in ("mu", "nu"):
@@ -107,9 +109,10 @@ class DetectionTally:
                     raise ValueError(f"m_{basis}_{inten} exceeds n_{basis}_{inten}")
         if self.n_z_total != self.n_z_mu + self.n_z_nu:
             raise ValueError("n_z_total must equal n_z_mu + n_z_nu")
-        if not 0 <= self.accumulation_time_s < math.inf:
-            raise ValueError("accumulation_time_s must be finite and "
-                             "nonnegative")
+        if (isinstance(self.accumulation_time_s, bool)
+                or not 0 <= self.accumulation_time_s < math.inf):
+            raise ValueError("accumulation_time_s must be a finite "
+                             "nonnegative number")
 
     def detections(self, basis: str, inten: str) -> int:
         return getattr(self, f"n_{basis}_{inten}")
@@ -146,9 +149,10 @@ class SecurityTargets:
                 raise ValueError(f"{name} must be in (0, 1)")
         if self.message_len_bits < 8 or self.message_len_bits % 8:
             raise ValueError("message_len_bits must be a positive multiple of 8")
-        if (self.lambda_ec_bits is not None
-                and not 0 <= self.lambda_ec_bits < math.inf):
-            raise ValueError("lambda_ec_bits must be finite and nonnegative")
+        if self.lambda_ec_bits is not None and (
+                isinstance(self.lambda_ec_bits, bool)
+                or not 0 <= self.lambda_ec_bits < math.inf):
+            raise ValueError("lambda_ec_bits must be a finite nonnegative number")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .divhash import HashSeed, hash_document
+from .divhash import hash_document
 from .framing import (KeyShare, MsgType, PositionAnnouncement,
                       SignatureBundle, VerifyDecision, _as_bits, pack_bits,
                       parse_payload, unpack_bits)
@@ -147,8 +147,7 @@ def sign(message: bytes, x_a, y_a, p_seed) -> SignatureBundle:
         raise ValueError("signature length must be a multiple of 8 bits")
     rng = np.random.default_rng(p_seed)
     p_bits = rng.integers(0, 2, L, dtype=np.uint8)
-    seed = HashSeed(pack_bits(p_bits), L)
-    dig = unpack_bits(hash_document(message, seed), L)
+    dig = unpack_bits(hash_document(message, pack_bits(p_bits)), L)
     return SignatureBundle(sig=dig ^ x, message=bytes(message),
                            p_a=p_bits ^ y)
 
@@ -168,8 +167,7 @@ def verify_as_receiver(bundle: SignatureBundle, own: KeyShare,
     k_y = own.y_key ^ peer.y_key
     expected = bundle.sig ^ k_x
     p_bits = bundle.p_a ^ k_y
-    seed = HashSeed(pack_bits(p_bits), L)
-    actual = unpack_bits(hash_document(bundle.message, seed), L)
+    actual = unpack_bits(hash_document(bundle.message, pack_bits(p_bits)), L)
     if np.array_equal(expected, actual):
         return VerifyDecision(True, "digest match")
     return VerifyDecision(False, "digest mismatch")

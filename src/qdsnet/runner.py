@@ -2,14 +2,16 @@
 
 A run config names two quantum links (Bob's and Charlie's, each with
 source intensities, a channel model, a pulse budget, and a seed), the
-security targets, and the document to sign.  run_simulation takes each
-link in turn through
+security targets, and the path of the document to sign.  The runner
+reads no file: the caller loads the config and passes the document's
+bytes.  run_simulation takes each link in turn through
 
     simulate -> reconcile Alice's copy -> minimal length from the leakage
 
 then forms both reports at the common length, the three key stores and
 one signing round over recorded endpoints.  Every random choice derives
-from config seeds, so identical configs give byte-identical outcomes.
+from config seeds, so identical configs and documents give
+byte-identical outcomes.
 """
 
 from __future__ import annotations
@@ -105,11 +107,6 @@ class RunConfig:
                    protocol_seed=_nonnegative(
                        "protocol_seed", d.get("protocol_seed", 2024)))
 
-    @classmethod
-    def from_json(cls, path: str) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 def _derived_seed(root: int, *key: int) -> int:
     state = np.random.SeedSequence(root, spawn_key=key).generate_state(2)
@@ -122,17 +119,8 @@ def _tamper_one_byte(bundle: SignatureBundle) -> SignatureBundle:
     return SignatureBundle(bundle.sig, bytes(altered), bundle.p_a)
 
 
-def run_simulation(config: RunConfig, message: bytes | None = None) -> dict:
-    """Execute one full signing run; returns the outcome record.
-
-    message, if given, replaces the document at config.message_path.
-    """
-    if message is None:
-        try:
-            with open(config.message_path, "rb") as fh:
-                message = fh.read()
-        except OSError as exc:
-            raise RunError("config", f"cannot read message: {exc}")
+def run_simulation(config: RunConfig, message: bytes) -> dict:
+    """Sign message in one full run; returns the outcome record."""
     if not message:
         raise RunError("config", "refusing to sign an empty document")
     m_bits = 8 * len(message)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qdsnet.cascade import (MAX_TOTAL_PASSES, CorrectorRole,
                             InconsistentParitiesError, ReconciliationConfig,
                             ReferenceRole, _hash_tag, _pass_permutation,
-                            block_length, reconcile, tag_bit_count, verify)
+                            block_length, reconcile, tag_bit_count)
 from qdsnet.finitekey import binary_entropy
 from qdsnet.framing import (FrameError, ParityAnswer, ParityRequest,
                             TagExchange, VerifyDecision, parse_payload)
@@ -53,20 +53,26 @@ def test_tag_bit_count():
 def test_verify_tag_properties():
     rng = np.random.default_rng(30)
     key = rng.integers(0, 2, 5000, dtype=np.uint8)
-    equal, n_bits = verify(key, key.copy(), 1e-10, seed=1)
-    assert equal and n_bits == 34
+    n_bits, tag = _hash_tag(key, 1e-10, seed=1)
+    assert n_bits == 34 and _hash_tag(key.copy(), 1e-10, seed=1)[1] == tag
     flipped = key.copy()
     flipped[1234] ^= 1
-    equal, _ = verify(key, flipped, 1e-10, seed=1)
-    assert not equal
+    other = _hash_tag(flipped, 1e-10, seed=1)[1]
+    assert other != tag
+    # the reference accepts only the corrector tag that matches its own
+    for theirs, verified in ((tag, True), (other, False)):
+        ref = ReferenceRole(key, ReconciliationConfig(eps_cor=1e-10, seed=1))
+        ref.answer(TagExchange(n_bits, theirs).encode())
+        assert ref.result().verified is verified
 
 
 def test_verify_seed_dependence():
     rng = np.random.default_rng(31)
     key = rng.integers(0, 2, 2000, dtype=np.uint8)
-    # same inputs stay equal under every seed
-    for seed in range(5):
-        assert verify(key, key.copy(), 1e-10, seed)[0]
+    # same inputs stay equal under every seed, and each seed keys its own tag
+    tags = [_hash_tag(key, 1e-10, seed) for seed in range(5)]
+    assert tags == [_hash_tag(key.copy(), 1e-10, seed) for seed in range(5)]
+    assert len(set(tags)) == 5
 
 
 def test_identical_inputs_leakage_identity():

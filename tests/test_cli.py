@@ -18,8 +18,12 @@ from qdsnet.files import (read_message, read_store, store_lock,
 from qdsnet.framing import encode_frame
 from qdsnet.protocol import (PositionAnnouncement, SignatureBundle,
                              alice_sign, select_positions)
+from qdsnet.runner import RunConfig, outcome_to_json, run_simulation
 
 GOLDEN = str(pkg_files("qdsnet.data") / "table2_100km_AC.json")
+# for a subprocess that imports this qdsnet
+_SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(qdsnet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
 
 
 @pytest.fixture
@@ -67,9 +71,15 @@ def test_analyze_missing_field(workdir):
     ("tally", "n_z_mu", "NaN"),
     ("tally", "accumulation_time_s", "NaN"),
     ("tally", "accumulation_time_s", "Infinity"),
-    ("intensity", "mu", "Infinity")])
+    ("intensity", "mu", "Infinity"),
+    ("tally", "n_z_total", "10000000.0"),
+    ("tally", "m_z_mu", "true"),
+    ("tally", "accumulation_time_s", "true"),
+    ("targets", "lambda_ec_bits", "true")])
 def test_analyze_non_finite_input(workdir, capsys, section, key, value):
-    # NaN once passed as secure (L = 8) and Infinity crashed the tally
+    # NaN once passed as secure (L = 8) and Infinity crashed the tally; a
+    # float count crashed in range(), and true was read as 1, which passed
+    # with an optimistic rate
     with open(pkg_files("qdsnet.data") / "table2_50km_AB.json") as fh:
         doc = json.load(fh)
     doc[section][key] = "VALUE"
@@ -182,6 +192,17 @@ def _keys_and_doc(workdir):
     (workdir / "doc.bin").write_bytes(b"written in a crash-prone world")
 
 
+def _small_run_files(workdir):
+    """A 2e7-pulse-per-link run config naming doc.bin, and doc.bin."""
+    cfg = json.loads((pkg_files("qdsnet.data") / "demo_10db.json").read_text())
+    for link in cfg["links"].values():
+        link["n_pulses"] = 20_000_000
+    cfg["message_path"] = "doc.bin"
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    (workdir / "doc.bin").write_bytes(np.random.default_rng(3).bytes(2000))
+    return RunConfig.from_dict(cfg)
+
+
 def test_sign_crash_after_store_write_spends_positions(workdir, monkeypatch):
     _keys_and_doc(workdir)
     with monkeypatch.context() as m:
@@ -236,18 +257,40 @@ def test_failed_store_write_releases_nothing(workdir, monkeypatch, argv,
     assert not any((workdir / name).exists() for name in outputs)
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", GOLDEN, "--out", "notadir/r.json"],
+    ["keygen-sim", "--bits", "64", "--out-dir", "notadir"],
+    ["reproduce-table", "--json", "notadir/t.json"],
+    [f"notadir/{a}" if a == "b.bin" else a for a in SIGN],
+    [f"notadir/{a}" if a == "s.bin" else a for a in VERIFY],
+    ["simulate", "--config", "cfg.json", "--out-dir", "notadir"]],
+    ids=["analyze", "keygen-sim", "reproduce-table", "sign", "verify",
+         "simulate"])
+def test_unwritable_output_path_is_input_error(workdir, capsys, argv):
+    # each once ended in a NotADirectoryError or FileExistsError traceback
+    _keys_and_doc(workdir)
+    _small_run_files(workdir)
+    if argv[0] == "verify":
+        assert main(SIGN) == EXIT_OK
+    (workdir / "notadir").write_text("a file, not a directory")
+    capsys.readouterr()
+    assert main(argv) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: ")
+    if argv[0] in ("sign", "verify"):
+        # the store is written first: positions behind a lost file stay spent
+        spent = read_store(argv[argv.index("--store") + 1]).used_mask
+        assert np.count_nonzero(spent) == 128
+
+
 def test_concurrent_sign_waits_for_the_store_lock(workdir):
     # this test plays the first of two runs on one store: it holds the
     # lock from reading the store to writing it back, with the position
     # seed the second run (a subprocess) also uses
     _keys_and_doc(workdir)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(qdsnet.__file__).parents[1]),
-         os.environ.get("PYTHONPATH", "")]))
     with store_lock("k/alice.store"):
         store = read_store("k/alice.store")
         proc = subprocess.Popen([sys.executable, "-m", "qdsnet.cli", *SIGN],
-                                env=env, stdout=subprocess.DEVNULL)
+                                env=_SRC_ENV, stdout=subprocess.DEVNULL)
         time.sleep(0.5)
         waited = proc.poll() is None
         first = select_positions(store, 64, 3).positions
@@ -326,6 +369,27 @@ def test_reproduce_table_runs(workdir, capsys):
     assert len(parsed["rows"]) == 8
 
 
+def test_simulate_signs_the_config_document(workdir, capsys):
+    config = _small_run_files(workdir)
+    doc = (workdir / "doc.bin").read_bytes()
+    # the outcome records the document's length, not its bytes
+    (workdir / "other.bin").write_bytes(doc[1:])
+    outcomes = []
+    for extra, message in (([], doc), (["--message", "other.bin"], doc[1:])):
+        assert main(["simulate", "--config", "cfg.json", "--out-dir", "out",
+                     *extra]) == EXIT_OK
+        outcomes.append((workdir / "out" / "outcome.json").read_text())
+        assert outcomes[-1] == outcome_to_json(run_simulation(config, message))
+    assert outcomes[0] != outcomes[1]
+    # an unreadable document, from the config or from --message
+    os.remove("doc.bin")
+    for extra in ([], ["--message", "missing.bin"]):
+        assert main(["simulate", "--config", "cfg.json", "--out-dir", "out2",
+                     *extra]) == EXIT_PARSE
+        assert "error: cannot read message" in capsys.readouterr().err
+    assert not (workdir / "out2").exists()
+
+
 def test_simulate_bad_config(workdir, capsys):
     demo = json.loads((pkg_files("qdsnet.data") / "demo_10db.json").read_text())
     cases = [("{}", ""), ("[]", "")]
@@ -383,3 +447,27 @@ def test_simulate_rejects_unknown_key(workdir, capsys, dotted):
 def test_simulate_missing_config(workdir):
     assert main(["simulate", "--config", "nope.json",
                  "--out-dir", "out"]) == EXIT_PARSE
+
+
+def test_numpy_is_the_only_runtime_dependency(workdir):
+    # analyze and the offline sign/verify flow, in a fresh interpreter
+    script = """
+import sys
+from qdsnet.cli import main
+runs = [["analyze", sys.argv[1], "--out", "r.json"],
+        ["keygen-sim", "--bits", "4096", "--seed", "7", "--out-dir", "k"],
+        ["sign", "--message", "doc.bin", "--store", "k/alice.store",
+         "--length", "128", "--out", "b.bin", "--announce", "a.bin"],
+        ["verify", "--bundle", "b.bin", "--announce", "a.bin",
+         "--store", "k/bob.store", "--share-out", "bob.share"],
+        ["verify", "--bundle", "b.bin", "--announce", "a.bin",
+         "--store", "k/charlie.store", "--peer-share", "bob.share"]]
+print([main(argv) for argv in runs])
+print(sorted({"scipy", "hypothesis", "pytest"} & set(sys.modules)))
+"""
+    (workdir / "doc.bin").write_bytes(b"a document for the offline flow")
+    done = subprocess.run([sys.executable, "-c", script, GOLDEN],
+                          env=_SRC_ENV, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "[]"]

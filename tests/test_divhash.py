@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdsnet.divhash import HashSeed, derive_modulus, hash_document
+from qdsnet.divhash import derive_modulus, hash_document
 from qdsnet.gf256 import Poly, is_irreducible
 
 from helpers import (batch_hash_deg2, slow_hash_document,
@@ -13,15 +13,16 @@ from helpers import (batch_hash_deg2, slow_hash_document,
 
 
 def _seed(rng, L):
-    return HashSeed(bytes(rng.integers(0, 256, L // 8, dtype=np.uint8)), L)
+    return bytes(rng.integers(0, 256, L // 8, dtype=np.uint8))
 
 
 def test_seed_validation():
+    # a seed of d bytes is an 8d-bit seed, so only the empty one is invalid
     with pytest.raises(ValueError):
-        HashSeed(b"\x00", 16)          # length mismatch
+        derive_modulus(b"")
     with pytest.raises(ValueError):
-        HashSeed(b"\x00", 4)           # not a multiple of 8
-    HashSeed(b"\x01\x02", 16)
+        hash_document(b"doc", b"")
+    assert derive_modulus(b"\x01\x02").degree == 2
 
 
 def test_modulus_is_monic_irreducible_right_degree():
@@ -38,9 +39,7 @@ def test_modulus_is_monic_irreducible_right_degree():
 
 
 def test_modulus_deterministic():
-    s1 = HashSeed(b"\x12\x34", 16)
-    s2 = HashSeed(b"\x12\x34", 16)
-    assert derive_modulus(s1) == derive_modulus(s2)
+    assert derive_modulus(b"\x12\x34") == derive_modulus(bytes([0x12, 0x34]))
 
 
 def test_modulus_uses_seed_directly_when_irreducible():
@@ -52,14 +51,14 @@ def test_modulus_uses_seed_directly_when_irreducible():
         raw = bytes(rng.integers(0, 256, 2, dtype=np.uint8))
         cand = [1, raw[0], raw[1]]
         if raw[1] != 0 and slow_irreducible_low_degree(cand):
-            p = derive_modulus(HashSeed(raw, 16))
+            p = derive_modulus(raw)
             assert [int(c) for c in p.coeffs] == cand
             hits += 1
 
 
 def test_modulus_walk_skips_zero_constant():
     # all-zero seed forces the constant-term fixup before the walk
-    p = derive_modulus(HashSeed(b"\x00\x00", 16))
+    p = derive_modulus(b"\x00\x00")
     assert int(p.coeffs[-1]) != 0
 
 
@@ -95,7 +94,7 @@ def test_blockwise_hash_matches_per_byte_reference(L, root, data):
 
 
 def test_hash_deterministic_and_length():
-    seed = HashSeed(b"\xaa\xbb\xcc", 24)
+    seed = b"\xaa\xbb\xcc"
     d1 = hash_document(b"hello world", seed)
     d2 = hash_document(b"hello world", seed)
     assert d1 == d2
@@ -104,7 +103,7 @@ def test_hash_deterministic_and_length():
 
 def test_empty_message_rejected():
     with pytest.raises(ValueError):
-        hash_document(b"", HashSeed(b"\x01\x02", 16))
+        hash_document(b"", b"\x01\x02")
 
 
 def test_planted_collision_positive_control():
@@ -154,6 +153,6 @@ def test_moduli_unchanged_at_signing_lengths():
     for L in (688, 712):
         for s in range(3):
             bits = np.random.default_rng([L, s]).bytes(L // 8)
-            digest.update(bytes(derive_modulus(HashSeed(bits, L)).coeffs))
+            digest.update(bytes(derive_modulus(bits).coeffs))
     assert digest.hexdigest() == (
         "b6476d97615f24d730cb615ebf30f1569b28041736141d611743bf016c17d835")

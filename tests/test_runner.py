@@ -72,12 +72,6 @@ def test_empty_message_is_config_error():
     assert err.value.stage == "config"
 
 
-def test_missing_message_file_is_config_error():
-    with pytest.raises(RunError) as err:
-        run_simulation(_small_config(message_path="/nonexistent/doc.bin"))
-    assert err.value.stage == "config"
-
-
 def test_starved_link_is_simulation_error():
     starved = LinkConfig(intensity=IntensityConfig(**_INTENSITY),
                          channel=ChannelModel(**{**_CHANNEL,
