@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finitekey import DetectionTally, IntensityConfig
+from .finitekey import DetectionTally, IntensityConfig, require_real_fields
 
 SHARD_PULSES = 1 << 20
 
@@ -37,6 +37,7 @@ class ChannelModel:
     pulse_rate_hz: float = 5e7
 
     def __post_init__(self):
+        require_real_fields(self)
         if not 0 <= self.loss_db < math.inf:
             raise ValueError("loss_db must be finite and nonnegative")
         for name in ("detector_efficiency", "dark_count_prob", "misalignment"):

@@ -149,6 +149,9 @@ def cmd_keygen_sim(args) -> int:
         print("error: --bits must be a multiple of 8, at least 16",
               file=sys.stderr)
         return EXIT_PARSE
+    if args.seed < 0:
+        print("error: --seed must be nonnegative", file=sys.stderr)
+        return EXIT_PARSE
     rng = np.random.default_rng(args.seed)
     k_b = rng.integers(0, 2, args.bits, dtype=np.uint8)
     k_c = rng.integers(0, 2, args.bits, dtype=np.uint8)

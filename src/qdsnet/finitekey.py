@@ -1,32 +1,28 @@
 """Finite-size security analysis for a two-intensity decoy-state key link.
 
-Given per-intensity sifted detection and error tallies, the analyzer
-bounds the vacuum and single-photon contributions to the Z key
-(Hoeffding concentration on the observed counts), converts the X-basis
-single-photon error rate into a phase-error bound via a random-sampling
-tail estimate, transfers those whole-key bounds onto an L-bit substring,
-and turns the substring's smooth min-entropy into the distinct failure
-probabilities of the signature scheme: robustness, repudiation, and
-forgery.
+The analysis runs in two steps.  link_bounds evaluates the whole-key
+bounds once per tally: the vacuum and single-photon parts of the Z key
+(Hoeffding concentration on the observed counts) and the phase error
+that the X-basis single-photon error rate bounds by a random-sampling
+tail.  _entropy_at transfers them onto one L-bit substring and returns
+its smooth min-entropy, which security_bounds turns into the scheme's
+robustness, repudiation and forgery probabilities.  The leakage is
+always the measured one, never an assumed efficiency, and every quantity
+is a closed-form scalar, so the minimal secure length is a direct scan.
 
 The analysis has one convention: every Hoeffding deviation and
 sampling tail uses the natural logarithm, and the decoy (nu) error
 count anchors the vacuum upper bound.  Base-2 logarithms or a mu-anchored
 vacuum bound were evaluated on the bundled reference rows and reproduce
 none of them.
-
-All quantities here are scalar floats; everything is closed-form, so the
-full chain evaluates in microseconds and the minimal secure substring
-length can be found by direct scan.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
-EC_EFFICIENCY = 1.16
 _LAMBDA_FLOOR = 1e-12
 
 
@@ -35,7 +31,7 @@ class AnalysisError(RuntimeError):
 
 
 class InsufficientDataError(AnalysisError):
-    """No detections, no accumulation time or no single-photon bound."""
+    """No detections, accumulation time, leakage or single-photon bound."""
 
 
 class LinkInsecureError(AnalysisError):
@@ -45,6 +41,14 @@ class LinkInsecureError(AnalysisError):
         super().__init__(message)
         self.best_eps = best_eps
         self.best_len = best_len
+
+
+def require_real_fields(obj) -> None:
+    """Raise ValueError naming the first field that is a bool or no number."""
+    for field in fields(obj):
+        v = getattr(obj, field.name)
+        if not isinstance(v, numbers.Real) or isinstance(v, bool):
+            raise ValueError(f"{field.name} must be a number, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,7 @@ class IntensityConfig:
     p_x: float
 
     def __post_init__(self):
+        require_real_fields(self)
         if not 0 < self.nu < self.mu < math.inf:
             raise ValueError("need 0 < nu < mu, mu finite")
         for name in ("p_mu", "p_nu", "p_z", "p_x"):
@@ -114,17 +119,11 @@ class DetectionTally:
             raise ValueError("accumulation_time_s must be a finite "
                              "nonnegative number")
 
-    def detections(self, basis: str, inten: str) -> int:
-        return getattr(self, f"n_{basis}_{inten}")
-
-    def errors(self, basis: str, inten: str) -> int:
-        return getattr(self, f"m_{basis}_{inten}")
-
     def detections_total(self, basis: str) -> int:
-        return self.detections(basis, "mu") + self.detections(basis, "nu")
+        return getattr(self, f"n_{basis}_mu") + getattr(self, f"n_{basis}_nu")
 
     def errors_total(self, basis: str) -> int:
-        return self.errors(basis, "mu") + self.errors(basis, "nu")
+        return getattr(self, f"m_{basis}_mu") + getattr(self, f"m_{basis}_nu")
 
     @property
     def e_z(self) -> float:
@@ -214,70 +213,6 @@ def hoeffding_shift(count: int, total: int, k_intensity: float,
     return math.exp(k_intensity) / prior * shifted
 
 
-def vacuum_lower(tally: DetectionTally, cfg: IntensityConfig, eps_sf: float,
-                 basis: str = "z") -> float:
-    """Lower bound on vacuum-event detections in the chosen basis."""
-    total = tally.detections_total(basis)
-    n_nu_low = hoeffding_shift(tally.detections(basis, "nu"), total,
-                               cfg.nu, cfg.p_nu, eps_sf, upper=False)
-    n_mu_high = hoeffding_shift(tally.detections(basis, "mu"), total,
-                                cfg.mu, cfg.p_mu, eps_sf, upper=True)
-    t0 = tau(0, cfg)
-    s0 = t0 * (cfg.mu * n_nu_low - cfg.nu * n_mu_high) / (cfg.mu - cfg.nu)
-    return max(s0, 0.0)
-
-
-def vacuum_upper(tally: DetectionTally, cfg: IntensityConfig, eps_sf: float,
-                 basis: str = "z") -> float:
-    """Upper bound on vacuum-event detections in the chosen basis.
-
-    Vacuum detections are error-prone half the time, so twice the
-    corrected decoy (nu) error count caps them; the trailing deviation
-    term covers the sampling of the vacuum events themselves.
-    """
-    m_total = tally.errors_total(basis)
-    n_total = tally.detections_total(basis)
-    m_high = hoeffding_shift(tally.errors(basis, "nu"), m_total,
-                             cfg.nu, cfg.p_nu, eps_sf, upper=True)
-    t0 = tau(0, cfg)
-    s0_u = 2 * (t0 * m_high + math.sqrt(n_total / 2 * -math.log(eps_sf)))
-    return min(s0_u, float(n_total))
-
-
-def single_photon_lower(tally: DetectionTally, cfg: IntensityConfig,
-                        eps_sf: float, basis: str, s0_u: float) -> float:
-    """Lower bound on single-photon detections in the chosen basis.
-
-    s0_u is that basis's vacuum_upper bound.
-    """
-    mu, nu = cfg.mu, cfg.nu
-    total = tally.detections_total(basis)
-    n_nu_low = hoeffding_shift(tally.detections(basis, "nu"), total,
-                               nu, cfg.p_nu, eps_sf, upper=False)
-    n_mu_high = hoeffding_shift(tally.detections(basis, "mu"), total,
-                                mu, cfg.p_mu, eps_sf, upper=True)
-    t0, t1 = tau(0, cfg), tau(1, cfg)
-    bracket = (n_nu_low
-               - (nu ** 2 / mu ** 2) * n_mu_high
-               - ((mu ** 2 - nu ** 2) / mu ** 2) * (s0_u / t0))
-    s1 = t1 * mu / (nu * (mu - nu)) * bracket
-    return min(max(s1, 0.0), float(total))
-
-
-def vx1_upper(tally: DetectionTally, cfg: IntensityConfig,
-              eps_sf: float) -> float:
-    """Upper bound on single-photon bit errors in the X basis."""
-    mu, nu = cfg.mu, cfg.nu
-    m_total = tally.errors_total("x")
-    m_mu_high = hoeffding_shift(tally.errors("x", "mu"), m_total,
-                                mu, cfg.p_mu, eps_sf, upper=True)
-    m_nu_low = hoeffding_shift(tally.errors("x", "nu"), m_total,
-                               nu, cfg.p_nu, eps_sf, upper=False)
-    t1 = tau(1, cfg)
-    v = t1 * (m_mu_high - m_nu_low) / (mu - nu)
-    return max(v, 0.0)
-
-
 def gamma_upper(n: float, k: float, eps: float, lam: float) -> float:
     """Random-sampling deviation for drawing n of n+k bits without replacement.
 
@@ -320,45 +255,6 @@ def phase_error_upper(s_z1: float, s_x1: float, v_x1: float,
     return min(max(phi, 0.0), 0.5)
 
 
-def substring_bounds(s_z0_l: float, s_z1_l: float, phi_z_u: float,
-                     n_z: int, length: int, eps_sf: float
-                     ) -> tuple[float, float, float]:
-    """Transfer whole-key bounds onto a random L-bit substring.
-
-    Returns (vacuum lower, single-photon lower, phase error upper) for
-    the substring.  Each transfer pays one gamma_upper sampling penalty.
-    """
-    if not 0 < length < n_z:
-        raise ValueError("substring length must be in (0, n_z)")
-    lam0 = s_z0_l / n_z
-    s0_L = length * (lam0 - gamma_upper(length, n_z - length, eps_sf, lam0))
-    s0_L = min(max(s0_L, 0.0), float(length))
-
-    lam1 = s_z1_l / n_z
-    s1_L = length * (lam1 - gamma_upper(length, n_z - length, eps_sf, lam1))
-    s1_L = min(max(s1_L, 0.0), float(length))
-
-    rest = s_z1_l - s1_L
-    if s1_L <= 0 or rest <= 0:
-        phi_L = 0.5
-    else:
-        phi_L = phi_z_u + gamma_upper(s1_L, rest, eps_sf, phi_z_u)
-        phi_L = min(max(phi_L, 0.0), 0.5)
-    return s0_L, s1_L, phi_L
-
-
-def min_entropy(s0_L: float, s1_L: float, phi_L: float, length: int,
-                n_z: int, lambda_ec_bits: float, eps_cor: float) -> float:
-    """Smooth min-entropy of an L-bit substring of the Z key.
-
-    Vacuum bits are fully unpredictable, single-photon bits lose the
-    phase-error entropy, and the substring's share of the reconciliation
-    leakage (plus the verification tag) is subtracted.
-    """
-    leak_share = length / n_z * (lambda_ec_bits + math.log2(2 / eps_cor))
-    return s0_L + s1_L * (1 - binary_entropy(phi_L)) - leak_share
-
-
 def security_bounds(h_n: float, message_len_bits: int, eps_cor: float
                     ) -> tuple[float, float, float, float]:
     """(eps_rob, eps_rep, eps_for, eps) from the substring min-entropy.
@@ -398,37 +294,57 @@ class LinkBounds:
 
 def link_bounds(tally: DetectionTally, cfg: IntensityConfig,
                 targets: SecurityTargets) -> LinkBounds:
-    """Evaluate every length-independent bound once."""
+    """Evaluate every length-independent bound once.
+
+    Each basis's Hoeffding-corrected counts are computed once.  Vacuum
+    detections err half the time, so twice the corrected decoy (nu) error
+    count plus a sampling deviation caps them; the cap enters the basis's
+    single-photon lower bound.  Without the measured leakage
+    targets.lambda_ec_bits this raises InsufficientDataError.
+    """
     if tally.detections_total("z") == 0 or tally.detections_total("x") == 0:
         raise InsufficientDataError(
             "no detections in at least one basis; nothing to bound")
     if tally.accumulation_time_s == 0:
         raise InsufficientDataError(
             "zero accumulation time; no signature rate to bound")
-    e_z = tally.e_z
-    if targets.lambda_ec_bits is not None:
-        lam_ec = targets.lambda_ec_bits
-    else:
-        lam_ec = EC_EFFICIENCY * tally.n_z_total * binary_entropy(e_z)
-    s_z0_u = vacuum_upper(tally, cfg, targets.eps_sf, "z")
-    s_z1 = single_photon_lower(tally, cfg, targets.eps_sf, "z", s_z0_u)
-    s_x1 = single_photon_lower(tally, cfg, targets.eps_sf, "x",
-                               vacuum_upper(tally, cfg, targets.eps_sf, "x"))
-    v_x1 = vx1_upper(tally, cfg, targets.eps_sf)
+    if targets.lambda_ec_bits is None:
+        raise InsufficientDataError(
+            "no measured reconciliation leakage (lambda_ec_bits)")
+    mu, nu, eps_sf = cfg.mu, cfg.nu, targets.eps_sf
+    t0, t1 = tau(0, cfg), tau(1, cfg)
+    per_basis = {}
+    for basis in ("z", "x"):
+        n_total = tally.detections_total(basis)
+        n_nu_low = hoeffding_shift(getattr(tally, f"n_{basis}_nu"), n_total,
+                                   nu, cfg.p_nu, eps_sf, upper=False)
+        n_mu_high = hoeffding_shift(getattr(tally, f"n_{basis}_mu"), n_total,
+                                    mu, cfg.p_mu, eps_sf, upper=True)
+        m_nu_high = hoeffding_shift(getattr(tally, f"m_{basis}_nu"),
+                                    tally.errors_total(basis),
+                                    nu, cfg.p_nu, eps_sf, upper=True)
+        deviation = math.sqrt(n_total / 2 * -math.log(eps_sf))
+        s0_u = min(2 * (t0 * m_nu_high + deviation), float(n_total))
+        bracket = (n_nu_low - (nu ** 2 / mu ** 2) * n_mu_high
+                   - ((mu ** 2 - nu ** 2) / mu ** 2) * (s0_u / t0))
+        s1_l = min(max(t1 * mu / (nu * (mu - nu)) * bracket, 0.0),
+                   float(n_total))
+        per_basis[basis] = n_nu_low, n_mu_high, s0_u, s1_l
+    n_nu_low, n_mu_high, s_z0_u, s_z1_l = per_basis["z"]
+    s_x1_l = per_basis["x"][3]
+    m_x_total = tally.errors_total("x")
+    m_mu_high = hoeffding_shift(tally.m_x_mu, m_x_total,
+                                mu, cfg.p_mu, eps_sf, upper=True)
+    m_nu_low = hoeffding_shift(tally.m_x_nu, m_x_total,
+                               nu, cfg.p_nu, eps_sf, upper=False)
+    v_x1_u = max(t1 * (m_mu_high - m_nu_low) / (mu - nu), 0.0)
     return LinkBounds(
-        tau0=tau(0, cfg),
-        tau1=tau(1, cfg),
-        s_z0_l=vacuum_lower(tally, cfg, targets.eps_sf, "z"),
-        s_z0_u=s_z0_u,
-        s_z1_l=s_z1,
-        s_x1_l=s_x1,
-        v_x1_u=v_x1,
-        phi_z_u=phase_error_upper(s_z1, s_x1, v_x1, targets.eps_sf),
-        e_z=e_z,
-        lambda_ec=lam_ec,
-        n_z=tally.n_z_total,
-        time_s=tally.accumulation_time_s,
-    )
+        tau0=t0, tau1=t1,
+        s_z0_l=max(t0 * (mu * n_nu_low - nu * n_mu_high) / (mu - nu), 0.0),
+        s_z0_u=s_z0_u, s_z1_l=s_z1_l, s_x1_l=s_x1_l, v_x1_u=v_x1_u,
+        phi_z_u=phase_error_upper(s_z1_l, s_x1_l, v_x1_u, eps_sf),
+        e_z=tally.e_z, lambda_ec=targets.lambda_ec_bits,
+        n_z=tally.n_z_total, time_s=tally.accumulation_time_s)
 
 
 def signature_rate(n_z: int, length: int, time_s: float) -> float:
@@ -442,11 +358,32 @@ def signature_rate(n_z: int, length: int, time_s: float) -> float:
 
 def _entropy_at(bounds: LinkBounds, length: int,
                 targets: SecurityTargets) -> float:
-    s0_L, s1_L, phi_L = substring_bounds(
-        bounds.s_z0_l, bounds.s_z1_l, bounds.phi_z_u,
-        bounds.n_z, length, targets.eps_sf)
-    return min_entropy(s0_L, s1_L, phi_L, length, bounds.n_z,
-                       bounds.lambda_ec, targets.eps_cor)
+    """Smooth min-entropy of a random L-bit substring of the Z key.
+
+    The whole-key vacuum and single-photon lower bounds and the phase
+    error bound transfer onto the substring, each paying one gamma_upper
+    sampling penalty.  Vacuum bits are fully unpredictable, single-photon
+    bits lose the phase-error entropy, and the substring's share of the
+    reconciliation leakage (plus the verification tag) is subtracted.
+    """
+    n_z, eps_sf = bounds.n_z, targets.eps_sf
+    if not 0 < length < n_z:
+        raise ValueError("substring length must be in (0, n_z)")
+    lam0, lam1 = bounds.s_z0_l / n_z, bounds.s_z1_l / n_z
+    s0_L = length * (lam0 - gamma_upper(length, n_z - length, eps_sf, lam0))
+    s0_L = min(max(s0_L, 0.0), float(length))
+    s1_L = length * (lam1 - gamma_upper(length, n_z - length, eps_sf, lam1))
+    s1_L = min(max(s1_L, 0.0), float(length))
+    rest = bounds.s_z1_l - s1_L
+    if s1_L <= 0 or rest <= 0:
+        phi_L = 0.5
+    else:
+        phi_L = bounds.phi_z_u + gamma_upper(s1_L, rest, eps_sf,
+                                             bounds.phi_z_u)
+        phi_L = min(max(phi_L, 0.0), 0.5)
+    leak_share = length / n_z * (bounds.lambda_ec
+                                 + math.log2(2 / targets.eps_cor))
+    return s0_L + s1_L * (1 - binary_entropy(phi_L)) - leak_share
 
 
 def report_at_length(tally: DetectionTally, cfg: IntensityConfig,

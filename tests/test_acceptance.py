@@ -366,8 +366,8 @@ def test_criterion_6_estimator_properties(capsys):
     from qdsnet.channel import ChannelModel, simulate_kgp
     from qdsnet.finitekey import (InsufficientDataError,
                                   IntensityConfig, SecurityTargets,
-                                  min_signature_length, report_at_length,
-                                  vacuum_lower, vacuum_upper)
+                                  link_bounds, min_signature_length,
+                                  report_at_length)
     from qdsnet.table2 import load_rows, row_inputs
 
     problems = []
@@ -377,9 +377,8 @@ def test_criterion_6_estimator_properties(capsys):
         name = f"{row['distance_km']}km {row['link']}"
         tally, cfg, targets = row_inputs(row)
 
-        lo = vacuum_lower(tally, cfg, targets.eps_sf, "z")
-        hi = vacuum_upper(tally, cfg, targets.eps_sf, "z")
-        if not 0 <= lo <= hi:
+        bounds = link_bounds(tally, cfg, targets)
+        if not 0 <= bounds.s_z0_l <= bounds.s_z0_u:
             problems.append(f"{name}: vacuum bounds disordered")
 
         L, report = min_signature_length(tally, cfg, targets)

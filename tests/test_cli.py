@@ -72,6 +72,7 @@ def test_analyze_missing_field(workdir):
     ("tally", "accumulation_time_s", "NaN"),
     ("tally", "accumulation_time_s", "Infinity"),
     ("intensity", "mu", "Infinity"),
+    ("intensity", "mu", "true"),
     ("tally", "n_z_total", "10000000.0"),
     ("tally", "m_z_mu", "true"),
     ("tally", "accumulation_time_s", "true"),
@@ -87,6 +88,18 @@ def test_analyze_non_finite_input(workdir, capsys, section, key, value):
         json.dumps(doc).replace('"VALUE"', value))
     assert main(["analyze", "row.json"]) == EXIT_PARSE
     assert key in capsys.readouterr().err
+
+
+def test_analyze_needs_the_measured_leakage(workdir, capsys):
+    # without lambda_ec_bits the analysis once assumed an efficiency of 1.16
+    with open(pkg_files("qdsnet.data") / "table2_50km_AB.json") as fh:
+        doc = json.load(fh)
+    del doc["targets"]["lambda_ec_bits"]
+    (workdir / "row.json").write_text(json.dumps(doc))
+    assert main(["analyze", "row.json"]) == EXIT_SECURITY
+    assert "lambda_ec_bits" in capsys.readouterr().err
+    assert main(["analyze", "row.json", "--lambda-ec", "581997"]) == EXIT_OK
+    assert "L = 688 bits" in capsys.readouterr().err
 
 
 def test_analyze_all_zero_tally(workdir, capsys):
@@ -355,9 +368,14 @@ def test_sign_refuses_empty_message(workdir):
                  "--out", "b.bin", "--announce", "a.bin"]) == EXIT_PARSE
 
 
-def test_keygen_validates_bits(workdir):
+def test_keygen_validates_bits(workdir, capsys):
     assert main(["keygen-sim", "--bits", "12", "--out-dir", "k"]) == \
         EXIT_PARSE
+    # a negative seed once ended in numpy's traceback with exit 1
+    assert main(["keygen-sim", "--bits", "64", "--seed", "-1",
+                 "--out-dir", "k"]) == EXIT_PARSE
+    assert "error: --seed" in capsys.readouterr().err
+    assert not (workdir / "k").exists()
 
 
 def test_reproduce_table_runs(workdir, capsys):
@@ -410,6 +428,9 @@ def test_simulate_bad_config(workdir, capsys):
                 (("links", "bob", "channel", "loss_db"), float("nan")),
                 (("links", "charlie", "channel", "pulse_rate_hz"),
                  float("nan")),
+                # true was once read as the number 1
+                (("links", "bob", "channel", "loss_db"), True),
+                (("links", "charlie", "intensity", "mu"), True),
                 # a non-string path was once opened as a file descriptor
                 (("message_path",), 0),
                 (("message_path",), True)]

@@ -2,17 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
-from qdsnet import finitekey
 from qdsnet.finitekey import (DetectionTally, IntensityConfig,
                               InsufficientDataError, SecurityReport,
                               SecurityTargets, binary_entropy, gamma_upper,
                               link_bounds, min_signature_length,
                               phase_error_upper, report_at_length,
-                              security_bounds, signature_rate,
-                              single_photon_lower, tau, vacuum_lower,
-                              vacuum_upper, vx1_upper)
+                              security_bounds, signature_rate, tau)
 
 from helpers import keyed_tally
 
@@ -87,26 +86,22 @@ def test_vacuum_bounds_ordering_all_rows():
     from qdsnet.table2 import load_rows, row_inputs
     for row in load_rows():
         tally, cfg, targets = row_inputs(row)
-        lo = vacuum_lower(tally, cfg, targets.eps_sf, "z")
-        hi = vacuum_upper(tally, cfg, targets.eps_sf, "z")
-        assert 0 <= lo <= hi
-        assert hi <= tally.n_z_total
+        bounds = link_bounds(tally, cfg, targets)
+        assert 0 <= bounds.s_z0_l <= bounds.s_z0_u
+        assert bounds.s_z0_u <= tally.n_z_total
 
 
 def test_single_photon_bound_published_row():
     tally, cfg, targets = _golden_row()
-    s1 = single_photon_lower(tally, cfg, targets.eps_sf, "z",
-                             vacuum_upper(tally, cfg, targets.eps_sf, "z"))
+    s1 = link_bounds(tally, cfg, targets).s_z1_l
     assert s1 == pytest.approx(5642925, rel=0.02)   # tabulated value
 
 
 def test_phase_error_published_row():
     tally, cfg, targets = _golden_row()
-    s_z1, s_x1 = (single_photon_lower(
-        tally, cfg, targets.eps_sf, basis,
-        vacuum_upper(tally, cfg, targets.eps_sf, basis)) for basis in ("z", "x"))
-    v_x1 = vx1_upper(tally, cfg, targets.eps_sf)
-    phi = phase_error_upper(s_z1, s_x1, v_x1, targets.eps_sf)
+    bounds = link_bounds(tally, cfg, targets)
+    phi = phase_error_upper(bounds.s_z1_l, bounds.s_x1_l, bounds.v_x1_u,
+                            targets.eps_sf)
     assert 0.0 <= phi <= 0.5
     assert phi == pytest.approx(0.0312, rel=0.15)   # tabulated value
 
@@ -117,26 +112,43 @@ def test_phase_error_needs_positive_single_photon_bounds():
             phase_error_upper(s_z1, s_x1, 10.0, 1e-10)
 
 
-def test_link_bounds_evaluates_each_bound_once(monkeypatch):
-    tally, cfg, targets = _golden_row()
-    want = link_bounds(tally, cfg, targets)
-    calls = []
+@st.composite
+def _link_inputs(draw):
+    counts = {}
+    for basis in ("z", "x"):
+        for inten in ("mu", "nu"):
+            n = draw(st.integers(0, 10**7))
+            counts[f"n_{basis}_{inten}"] = n
+            # mostly the low error rates under which the bounds hold
+            counts[f"m_{basis}_{inten}"] = draw(st.integers(0, n // 20)
+                                                | st.integers(0, n))
+    tally = DetectionTally(**counts,
+                           n_z_total=counts["n_z_mu"] + counts["n_z_nu"],
+                           accumulation_time_s=draw(st.floats(1e-3, 1e4)))
+    nu = draw(st.floats(0.01, 0.5))
+    p_nu = draw(st.floats(0.01, 0.99))
+    p_z = draw(st.floats(0.01, 0.99))
+    cfg = IntensityConfig(mu=nu + draw(st.floats(0.01, 1.0)), nu=nu,
+                          p_mu=1 - p_nu, p_nu=p_nu, p_z=p_z, p_x=1 - p_z)
+    targets = SecurityTargets(eps_sf=10 ** draw(st.floats(-15, -3)),
+                              lambda_ec_bits=draw(st.floats(0, 1e7)))
+    return tally, cfg, targets
 
-    def counted(name):
-        inner = getattr(finitekey, name)
 
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return inner(*args, **kwargs)
-        monkeypatch.setattr(finitekey, name, wrapper)
-
-    for name in ("single_photon_lower", "vx1_upper", "vacuum_upper"):
-        counted(name)
-    assert link_bounds(tally, cfg, targets) == want
-    assert calls.count("single_photon_lower") == 2    # Z and X
-    assert calls.count("vx1_upper") == 1
-    # once for s_z0_u, which the Z bound reuses, and once for the X bound
-    assert calls.count("vacuum_upper") == 2
+@settings(max_examples=300, deadline=None)
+@given(inputs=_link_inputs())
+def test_link_bounds_stay_within_their_clamps(inputs):
+    tally, cfg, targets = inputs
+    try:
+        b = link_bounds(tally, cfg, targets)
+    except InsufficientDataError:
+        return
+    assert b.s_z0_l >= 0
+    assert 0 <= b.s_z0_u <= tally.n_z_total
+    assert 0 <= b.s_z1_l <= tally.n_z_total
+    assert 0 <= b.s_x1_l <= tally.detections_total("x")
+    assert b.v_x1_u >= 0
+    assert 0 <= b.phi_z_u <= 0.5
 
 
 def test_error_rate_published_row():
