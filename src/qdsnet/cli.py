@@ -46,7 +46,8 @@ _STAGE_CODES = {
 }
 
 def cmd_analyze(args) -> int:
-    from .finitekey import AnalysisError, min_signature_length
+    from .finitekey import (AnalysisError, InsufficientDataError,
+                            min_signature_length)
     from .table2 import row_inputs
     try:
         with open(args.tally) as fh:
@@ -69,6 +70,9 @@ def cmd_analyze(args) -> int:
 
     try:
         length, report = min_signature_length(tally, intensity, targets)
+    except InsufficientDataError as exc:
+        print(f"insufficient data: {exc}", file=sys.stderr)
+        return EXIT_SECURITY
     except AnalysisError as exc:
         print(f"link insecure: {exc}", file=sys.stderr)
         return EXIT_SECURITY
@@ -172,6 +176,11 @@ def cmd_sign(args) -> int:
     from .files import (FileFormatError, read_store, store_lock,
                         write_message, write_store)
     from .protocol import KeyExhaustedError, alice_sign
+    for flag, seed in (("--position-seed", args.position_seed),
+                       ("--p-seed", args.p_seed)):
+        if seed is not None and seed < 0:
+            print(f"error: {flag} must be nonnegative", file=sys.stderr)
+            return EXIT_PARSE
     try:
         with open(args.message, "rb") as fh:
             message = fh.read()

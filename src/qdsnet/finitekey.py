@@ -8,7 +8,8 @@ tail.  _entropy_at transfers them onto one L-bit substring and returns
 its smooth min-entropy, which security_bounds turns into the scheme's
 robustness, repudiation and forgery probabilities.  The leakage is
 always the measured one, never an assumed efficiency, and every quantity
-is a closed-form scalar, so the minimal secure length is a direct scan.
+is a closed-form scalar, so the minimal secure length is a direct scan;
+it stops early once a bound linear in L rules out every later length.
 
 The analysis has one convention: every Hoeffding deviation and
 sampling tail uses the natural logarithm, and the decoy (nu) error
@@ -386,6 +387,20 @@ def _entropy_at(bounds: LinkBounds, length: int,
     return s0_L + s1_L * (1 - binary_entropy(phi_L)) - leak_share
 
 
+def _entropy_rate(bounds: LinkBounds, targets: SecurityTargets) -> float:
+    """r with _entropy_at(bounds, L, targets) <= r * L at every L.
+
+    gamma_upper >= 0, s0_L and s1_L lie in [0, L], h(phi_L) >= h(phi_z_u)
+    and the leakage share is linear in L; r is padded by 1e-9 of the
+    terms' size, at most (4 - r) L, against float rounding.
+    """
+    n_z = bounds.n_z
+    rate = (min(bounds.s_z0_l / n_z, 1.0) + min(bounds.s_z1_l / n_z, 1.0)
+            * (1 - binary_entropy(bounds.phi_z_u))
+            - (bounds.lambda_ec + math.log2(2 / targets.eps_cor)) / n_z)
+    return rate + 1e-9 * (4 - rate)
+
+
 def report_at_length(tally: DetectionTally, cfg: IntensityConfig,
                      targets: SecurityTargets, length: int,
                      bounds: LinkBounds | None = None) -> SecurityReport:
@@ -417,7 +432,9 @@ def min_signature_length(tally: DetectionTally, cfg: IntensityConfig,
     runs up to n_z / 2 because one signature consumes 2L bits.  Raises
     LinkInsecureError (carrying the best achievable bound) when no
     length qualifies, and InsufficientDataError when the single-photon
-    bounds collapse entirely.
+    bounds collapse entirely.  eps(L) >= (m / 8) 2^(1 - r L) for r from
+    _entropy_rate; when r <= 0 that floor only grows, so the scan stops
+    once it passes the best eps seen, as no later length can win.
     """
     bounds = link_bounds(tally, cfg, targets)
     if 2 * targets.eps_cor > targets.eps_target:
@@ -425,6 +442,7 @@ def min_signature_length(tally: DetectionTally, cfg: IntensityConfig,
             "robustness floor 2*eps_cor exceeds the target", 2 * targets.eps_cor, None)
     best_eps = math.inf
     best_len: int | None = None
+    rate = _entropy_rate(bounds, targets)
     for length in range(8, bounds.n_z // 2 + 1, 8):
         h_n = _entropy_at(bounds, length, targets)
         eps = security_bounds(h_n, targets.message_len_bits, targets.eps_cor)[3]
@@ -434,6 +452,9 @@ def min_signature_length(tally: DetectionTally, cfg: IntensityConfig,
             report = report_at_length(tally, cfg, targets, length,
                                       bounds=bounds)
             return length, report
+        if rate <= 0 and (math.log2(targets.message_len_bits / 4)
+                          - rate * length > math.log2(best_eps)):
+            break
     raise LinkInsecureError(
         f"no substring length reaches eps <= {targets.eps_target:g} "
         f"(best {best_eps:g} at L = {best_len})", best_eps, best_len)

@@ -440,3 +440,36 @@ def drive_session(corrector, reference) -> tuple[list, object]:
             request = steps.send(reply)
     except StopIteration as done:
         return frames, done.value
+
+
+# ---------------------------------------------------------------------------
+# The minimal-length search without an early exit
+
+
+def full_scan_min_signature_length(tally, cfg, targets):
+    """finitekey.min_signature_length as a plain scan of every length.
+
+    Walks L = 8, 16, ... n_z / 2 to the end when no length meets the
+    target, so it is the reference for the scan's early exit.
+    """
+    from qdsnet.finitekey import (LinkInsecureError, _entropy_at,
+                                  link_bounds, report_at_length,
+                                  security_bounds)
+    bounds = link_bounds(tally, cfg, targets)
+    if 2 * targets.eps_cor > targets.eps_target:
+        raise LinkInsecureError(
+            "robustness floor 2*eps_cor exceeds the target", 2 * targets.eps_cor, None)
+    best_eps = math.inf
+    best_len: int | None = None
+    for length in range(8, bounds.n_z // 2 + 1, 8):
+        h_n = _entropy_at(bounds, length, targets)
+        eps = security_bounds(h_n, targets.message_len_bits, targets.eps_cor)[3]
+        if eps < best_eps:
+            best_eps, best_len = eps, length
+        if eps <= targets.eps_target:
+            report = report_at_length(tally, cfg, targets, length,
+                                      bounds=bounds)
+            return length, report
+    raise LinkInsecureError(
+        f"no substring length reaches eps <= {targets.eps_target:g} "
+        f"(best {best_eps:g} at L = {best_len})", best_eps, best_len)

@@ -102,6 +102,19 @@ def test_analyze_needs_the_measured_leakage(workdir, capsys):
     assert "L = 688 bits" in capsys.readouterr().err
 
 
+def test_analyze_labels_each_security_failure(workdir, capsys):
+    # missing data was once reported as an insecure link; both exit 6
+    with open(pkg_files("qdsnet.data") / "table2_50km_AB.json") as fh:
+        doc = json.load(fh)
+    del doc["targets"]["lambda_ec_bits"]
+    (workdir / "row.json").write_text(json.dumps(doc))
+    assert main(["analyze", "row.json"]) == EXIT_SECURITY
+    assert capsys.readouterr().err.startswith("insufficient data: ")
+    assert main(["analyze", "row.json", "--lambda-ec", "6000000"]) == \
+        EXIT_SECURITY
+    assert capsys.readouterr().err.startswith("link insecure: ")
+
+
 def test_analyze_all_zero_tally(workdir, capsys):
     # all counts zero, then the golden counts over zero seconds
     with open(GOLDEN) as fh:
@@ -115,7 +128,7 @@ def test_analyze_all_zero_tally(workdir, capsys):
     for doc in (no_counts, no_time):
         (workdir / "zeros.json").write_text(json.dumps(doc))
         assert main(["analyze", "zeros.json"]) == EXIT_SECURITY
-        assert "link insecure:" in capsys.readouterr().err
+        assert "insufficient data:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("basis", ["x", "z"])
@@ -350,6 +363,17 @@ def test_sign_writes_the_frames_alice_sign_sends(workdir):
         store, (workdir / "doc.bin").read_bytes(), 64, 3, 4)
     assert (workdir / "b.bin").read_bytes() == encode_frame(bundle)
     assert (workdir / "a.bin").read_bytes() == encode_frame(announce)
+
+
+@pytest.mark.parametrize("flag", ["--position-seed", "--p-seed"])
+def test_sign_rejects_a_negative_seed(workdir, capsys, flag):
+    # numpy's "expected non-negative integer" once named neither flag
+    _keys_and_doc(workdir)
+    store = (workdir / "k/alice.store").read_bytes()
+    assert main([*SIGN, flag, "-1"]) == EXIT_PARSE
+    assert f"error: {flag} must be nonnegative" in capsys.readouterr().err
+    assert (workdir / "k/alice.store").read_bytes() == store
+    assert not (workdir / "b.bin").exists()
 
 
 def test_sign_exhausts_small_store(workdir):

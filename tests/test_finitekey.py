@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,15 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from qdsnet.finitekey import (DetectionTally, IntensityConfig,
-                              InsufficientDataError, SecurityReport,
-                              SecurityTargets, binary_entropy, gamma_upper,
-                              link_bounds, min_signature_length,
+                              InsufficientDataError, LinkInsecureError,
+                              SecurityReport, SecurityTargets, _entropy_at,
+                              _entropy_rate, binary_entropy,
+                              gamma_upper, link_bounds, min_signature_length,
                               phase_error_upper, report_at_length,
                               security_bounds, signature_rate, tau)
+from qdsnet.table2 import load_rows, row_inputs
 
-from helpers import keyed_tally
+from helpers import full_scan_min_signature_length, keyed_tally
 
 
 def test_tau_against_scipy_poisson_mixture():
@@ -149,6 +152,132 @@ def test_link_bounds_stay_within_their_clamps(inputs):
     assert 0 <= b.s_x1_l <= tally.detections_total("x")
     assert b.v_x1_u >= 0
     assert 0 <= b.phi_z_u <= 0.5
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_link_inputs(), data=st.data())
+def test_entropy_stays_under_rate_times_length(inputs, data):
+    # the premise of the scan's early exit, at every length, not only
+    # the multiples of 8 it visits
+    tally, cfg, targets = inputs
+    try:
+        b = link_bounds(tally, cfg, targets)
+    except InsufficientDataError:
+        return
+    if b.n_z < 2:
+        return
+    length = data.draw(st.integers(1, b.n_z - 1))
+    assert _entropy_at(b, length, targets) <= (
+        _entropy_rate(b, targets) * length)
+
+
+@st.composite
+def _small_row_inputs(draw):
+    """A golden row with each basis scaled to at most 6e4 counts a cell,
+    and each count jittered.
+
+    The leakage runs up to n_Z, half the time near the value at which
+    the entropy rate changes sign, so targets out of reach, with either
+    sign of the rate, are common; the target and message size vary so
+    that reachable ones are too.
+    """
+    row = draw(st.sampled_from(load_rows()))
+    raw = row["tally"]
+    counts = {}
+    for basis in ("z", "x"):
+        scale = draw(st.floats(0.3, 1.0)) * 6e4 / raw[f"n_{basis}_mu"]
+        for inten in ("mu", "nu"):
+            n, m = (round(raw[f"{kind}_{basis}_{inten}"] * scale
+                          * draw(st.floats(0.8, 1.25))) for kind in "nm")
+            counts[f"n_{basis}_{inten}"] = n
+            counts[f"m_{basis}_{inten}"] = min(m, n)
+    tally = DetectionTally(**counts,
+                           n_z_total=counts["n_z_mu"] + counts["n_z_nu"],
+                           accumulation_time_s=1.0)
+    cfg = IntensityConfig(**row["intensity"])
+    targets = SecurityTargets(
+        eps_sf=10 ** draw(st.floats(-10, -4)),
+        eps_target=draw(st.floats(1e-9, 1e-2)),
+        message_len_bits=8 * draw(st.integers(1, 10**5)),
+        lambda_ec_bits=0.0)
+    n_z = tally.n_z_total
+    leakage = draw(st.floats(0, n_z))
+    if draw(st.booleans()):
+        try:
+            even = n_z * _entropy_rate(
+                link_bounds(tally, cfg, targets), targets)
+            leakage = min(max(even * draw(st.floats(0.9, 1.1)), 0), n_z)
+        except InsufficientDataError:
+            pass
+    return tally, cfg, replace(targets, lambda_ec_bits=leakage)
+
+
+def _search_outcome(search, tally, cfg, targets):
+    """A search's result, or its error's type, text and best point."""
+    try:
+        length, report = search(tally, cfg, targets)
+    except LinkInsecureError as exc:
+        return LinkInsecureError, str(exc), exc.best_eps, exc.best_len
+    except InsufficientDataError as exc:
+        return InsufficientDataError, str(exc)
+    return length, repr(report)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=_small_row_inputs())
+def test_min_signature_length_equals_the_full_scan(inputs):
+    # small tallies keep each reference scan cheap
+    tally, cfg, targets = inputs
+    assert _search_outcome(min_signature_length, tally, cfg, targets) == \
+        _search_outcome(full_scan_min_signature_length, tally, cfg, targets)
+
+
+def test_scan_exit_keeps_a_late_optimum(monkeypatch):
+    # with rate <= 0 the drawn tallies all peak at L = 8, which an exit
+    # at the first length would also return; this entropy obeys the same
+    # bound but peaks at L = 736, so only an exact exit matches the scan
+    from qdsnet import finitekey
+
+    def entropy(bounds, length, targets):
+        if length < 400:
+            return -0.01 * length - 40
+        return -0.01 * length - max(0.0, 10 - 0.03 * (length - 400))
+
+    inputs = _golden_row()
+    short = replace(link_bounds(*inputs), n_z=20_000)   # a short scan
+    monkeypatch.setattr(finitekey, "link_bounds", lambda *_: short)
+    monkeypatch.setattr(finitekey, "_entropy_at", entropy)
+    monkeypatch.setattr(finitekey, "_entropy_rate", lambda *_: -0.01)
+    outcome = _search_outcome(min_signature_length, *inputs)
+    assert outcome[0] is LinkInsecureError and outcome[3] == 736
+    assert outcome == _search_outcome(full_scan_min_signature_length, *inputs)
+
+
+# what the full scan raised on each golden row at lambda_ec = n_Z/2 + 1,
+# recorded before the scan could stop early: the text names the row's
+# eps_target, and every row's best is the same point, L = 8
+_UNREACHABLE_TARGETS = {
+    (50, "A-B"): "4.65e-08", (50, "A-C"): "4.56e-08",
+    (100, "A-B"): "4.78e-08", (100, "A-C"): "4.64e-08",
+    (150, "A-B"): "4.61e-08", (150, "A-C"): "4.78e-08",
+    (200, "A-B"): "4.77e-08", (200, "A-C"): "4.72e-08"}
+
+
+def test_unreachable_golden_rows_raise_what_the_full_scan_raised():
+    rows = load_rows()
+    assert {(r["distance_km"], r["link"]) for r in rows} == \
+        set(_UNREACHABLE_TARGETS)
+    for row in rows:
+        tally, cfg, targets = row_inputs(row)
+        raised = replace(targets, lambda_ec_bits=tally.n_z_total // 2 + 1)
+        with pytest.raises(LinkInsecureError) as info:
+            min_signature_length(tally, cfg, raised)
+        target = _UNREACHABLE_TARGETS[row["distance_km"], row["link"]]
+        assert str(info.value) == (
+            f"no substring length reaches eps <= {target} "
+            "(best 4.00008e+06 at L = 8)")
+        assert info.value.best_eps == 4000078.119627755
+        assert info.value.best_len == 8
 
 
 def test_error_rate_published_row():
