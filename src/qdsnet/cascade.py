@@ -149,7 +149,7 @@ def _session_tables(seed: int) -> tuple[np.ndarray, tuple, int]:
 
 
 def tag_bit_count(eps_cor: float) -> int:
-    n_bits = math.ceil(math.log2(1.0 / eps_cor))
+    n_bits = math.ceil(-math.log2(eps_cor))
     if not 1 <= n_bits <= 64:
         raise ValueError("eps_cor out of the supported tag range")
     return n_bits

@@ -38,14 +38,14 @@ class ChannelModel:
 
     def __post_init__(self):
         require_real_fields(self)
-        if not 0 <= self.loss_db < math.inf:
-            raise ValueError("loss_db must be finite and nonnegative")
+        if self.loss_db < 0:
+            raise ValueError("loss_db must be nonnegative")
         for name in ("detector_efficiency", "dark_count_prob", "misalignment"):
             v = getattr(self, name)
             if not 0 <= v <= 1:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if not 0 < self.pulse_rate_hz < math.inf:
-            raise ValueError("pulse_rate_hz must be finite and positive")
+        if self.pulse_rate_hz <= 0:
+            raise ValueError("pulse_rate_hz must be positive")
 
     @property
     def eta(self) -> float:

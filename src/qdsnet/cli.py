@@ -13,6 +13,10 @@ keygen-sim.  Exit codes are a public contract:
     8  key material exhausted
     9  protocol or transport abort
 
+The commands raise; main maps what escapes through one table, _FAILURES
+(_STAGE_CODES for a RunError), to a stderr label and an exit code.  Any
+other exception is a bug and surfaces as a traceback.
+
 QDSNET_LOG sets log verbosity (debug, info, warning; default warning).
 """
 
@@ -28,6 +32,15 @@ import sys
 
 import numpy as np
 
+from . import files
+from .finitekey import (AnalysisError, InsufficientDataError,
+                        min_signature_length)
+from .protocol import (KeyExhaustedError, KeyReuseError, KeyShare, KeyStore,
+                       PositionAnnouncement, SignatureBundle, alice_sign,
+                       extract_share, verify_as_receiver)
+from .runner import RunConfig, RunError, outcome_to_json, run_simulation
+from .table2 import format_report, reproduce_table, row_inputs
+
 EXIT_OK = 0
 EXIT_PARSE = 3
 EXIT_SIMULATION = 4
@@ -37,6 +50,21 @@ EXIT_REJECT = 7
 EXIT_KEY_EXHAUSTED = 8
 EXIT_ABORT = 9
 
+
+class InputError(Exception):
+    """A named input, file or flag, that cannot be read or is invalid."""
+
+
+# the first class that matches an escaping exception sets its label and code
+_FAILURES = {
+    KeyExhaustedError: ("key exhausted", EXIT_KEY_EXHAUSTED),
+    KeyReuseError: ("key exhausted", EXIT_KEY_EXHAUSTED),
+    InsufficientDataError: ("insufficient data", EXIT_SECURITY),
+    AnalysisError: ("link insecure", EXIT_SECURITY),
+    InputError: ("error", EXIT_PARSE),
+    OSError: ("error", EXIT_PARSE),     # an unwritable output path
+}
+
 _STAGE_CODES = {
     "config": EXIT_PARSE,
     "simulation": EXIT_SIMULATION,
@@ -45,38 +73,28 @@ _STAGE_CODES = {
     "protocol": EXIT_ABORT,
 }
 
-def cmd_analyze(args) -> int:
-    from .finitekey import (AnalysisError, InsufficientDataError,
-                            min_signature_length)
-    from .table2 import row_inputs
-    try:
-        with open(args.tally) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot parse tally file: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
+@contextlib.contextmanager
+def reading(context: str):
+    """Raise the generic errors of reading one input as an InputError."""
+    try:
+        yield
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{context}: {exc}") from exc
+
+
+def cmd_analyze(args) -> int:
+    with reading("cannot parse tally file"), open(args.tally) as fh:
+        doc = json.load(fh)
     flags = {field: getattr(args, flag) for flag, field in (
         ("eps_target", "eps_target"), ("eps_sf", "eps_sf"),
         ("eps_cor", "eps_cor"), ("message_bits", "message_len_bits"),
         ("lambda_ec", "lambda_ec_bits")) if getattr(args, flag) is not None}
-    try:
-        row = {**doc}
-        row["targets"] = {**row.get("targets", {}), **flags}
-        tally, intensity, targets = row_inputs(row)
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: invalid tally file field: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    with reading("invalid tally file field"):
+        tally, intensity, targets = row_inputs(
+            {**doc, "targets": {**doc.get("targets", {}), **flags}})
 
-    try:
-        length, report = min_signature_length(tally, intensity, targets)
-    except InsufficientDataError as exc:
-        print(f"insufficient data: {exc}", file=sys.stderr)
-        return EXIT_SECURITY
-    except AnalysisError as exc:
-        print(f"link insecure: {exc}", file=sys.stderr)
-        return EXIT_SECURITY
-
+    length, report = min_signature_length(tally, intensity, targets)
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -90,27 +108,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .runner import RunConfig, RunError, outcome_to_json, run_simulation
-    try:
-        with open(args.config) as fh:
-            config = RunConfig.from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError,
-            ValueError) as exc:
-        print(f"error: invalid run config: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    try:
-        with open(args.message or config.message_path, "rb") as fh:
-            message = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read message: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    try:
-        outcome = run_simulation(config, message)
-    except RunError as exc:
-        print(f"{exc.stage} stage failed: {exc}", file=sys.stderr)
-        return _STAGE_CODES.get(exc.stage, EXIT_ABORT)
+    with reading("invalid run config"), open(args.config) as fh:
+        config = RunConfig.from_dict(json.load(fh))
+    path = args.message or config.message_path
+    with reading("cannot read message"), open(path, "rb") as fh:
+        message = fh.read()
+    outcome = run_simulation(config, message)
 
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, "outcome.json")
@@ -135,7 +138,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reproduce_table(args) -> int:
-    from .table2 import format_report, reproduce_table
     result = reproduce_table()
     print(format_report(result))
     if args.json:
@@ -147,22 +149,17 @@ def cmd_reproduce_table(args) -> int:
 
 
 def cmd_keygen_sim(args) -> int:
-    from .files import write_store
-    from .protocol import KeyStore
     if args.bits < 16 or args.bits % 8:
-        print("error: --bits must be a multiple of 8, at least 16",
-              file=sys.stderr)
-        return EXIT_PARSE
+        raise InputError("--bits must be a multiple of 8, at least 16")
     if args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
-        return EXIT_PARSE
+        raise InputError("--seed must be nonnegative")
     rng = np.random.default_rng(args.seed)
     k_b = rng.integers(0, 2, args.bits, dtype=np.uint8)
     k_c = rng.integers(0, 2, args.bits, dtype=np.uint8)
     os.makedirs(args.out_dir, exist_ok=True)
     for role, bits in (("alice", k_b ^ k_c), ("bob", k_b), ("charlie", k_c)):
         path = os.path.join(args.out_dir, f"{role}.store")
-        write_store(KeyStore.from_bits(bits, role), path)
+        files.write_store(KeyStore.from_bits(bits, role), path)
         print(f"wrote {path} ({args.bits} bits)")
     return EXIT_OK
 
@@ -173,46 +170,27 @@ def _one_time(seed: int | None) -> int:
 
 
 def cmd_sign(args) -> int:
-    from .files import (FileFormatError, read_store, store_lock,
-                        write_message, write_store)
-    from .protocol import KeyExhaustedError, alice_sign
     for flag, seed in (("--position-seed", args.position_seed),
                        ("--p-seed", args.p_seed)):
         if seed is not None and seed < 0:
-            print(f"error: {flag} must be nonnegative", file=sys.stderr)
-            return EXIT_PARSE
-    try:
-        with open(args.message, "rb") as fh:
-            message = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read message: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+            raise InputError(f"{flag} must be nonnegative")
+    with reading("cannot read message"), open(args.message, "rb") as fh:
+        message = fh.read()
     if not message:
-        print("error: refusing to sign an empty message", file=sys.stderr)
-        return EXIT_PARSE
+        raise InputError("refusing to sign an empty message")
 
     with contextlib.ExitStack() as held:
-        try:
-            held.enter_context(store_lock(args.store))
-            store = read_store(args.store)
-        except (OSError, FileFormatError) as exc:
-            print(f"error: cannot load store: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        try:
+        with reading("cannot load store"):
+            held.enter_context(files.store_lock(args.store))
+            store = files.read_store(args.store)
+        with reading("--length"):
             (ann, bundle), _ = alice_sign(
                 store, message, args.length, _one_time(args.position_seed),
                 _one_time(args.p_seed))
-        except KeyExhaustedError as exc:
-            print(f"key exhausted: {exc}", file=sys.stderr)
-            return EXIT_KEY_EXHAUSTED
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-
         # consumption becomes durable before anything reveals the positions
-        write_store(store, args.store)
-    write_message(bundle, args.out)
-    write_message(ann, args.announce)
+        files.write_store(store, args.store)
+    files.write_message(bundle, args.out)
+    files.write_message(ann, args.announce)
     print(f"bundle written to {args.out}")
     print(f"announcement written to {args.announce}")
     print(f"{2 * args.length} key bits consumed; {store.available} remain")
@@ -220,33 +198,17 @@ def cmd_sign(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .files import (FileFormatError, read_message, read_store, store_lock,
-                        write_message, write_store)
-    from .protocol import (KeyExhaustedError, KeyReuseError, KeyShare,
-                           PositionAnnouncement, SignatureBundle,
-                           extract_share, verify_as_receiver)
     with contextlib.ExitStack() as held:
-        try:
-            bundle = read_message(args.bundle, SignatureBundle)
-            ann = read_message(args.announce, PositionAnnouncement)
-            held.enter_context(store_lock(args.store))
-            store = read_store(args.store)
-        except (OSError, FileFormatError, ValueError) as exc:
-            print(f"error: cannot load inputs: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-
-        try:
+        with reading("cannot load inputs"):
+            bundle = files.read_message(args.bundle, SignatureBundle)
+            ann = files.read_message(args.announce, PositionAnnouncement)
+            held.enter_context(files.store_lock(args.store))
+            store = files.read_store(args.store)
+        with reading(args.announce):
             own = extract_share(store, ann)
-        except (KeyExhaustedError, KeyReuseError) as exc:
-            print(f"key exhausted: {exc}", file=sys.stderr)
-            return EXIT_KEY_EXHAUSTED
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-
-        write_store(store, args.store)
+        files.write_store(store, args.store)
     if args.share_out:
-        write_message(own, args.share_out)
+        files.write_message(own, args.share_out)
         print(f"own share written to {args.share_out}")
 
     if not args.peer_share:
@@ -254,12 +216,8 @@ def cmd_verify(args) -> int:
               "run again with --peer-share to verify")
         return EXIT_OK
 
-    try:
-        peer = read_message(args.peer_share, KeyShare)
-    except (OSError, FileFormatError) as exc:
-        print(f"error: cannot load peer share: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
+    with reading("cannot load peer share"):
+        peer = files.read_message(args.peer_share, KeyShare)
     decision = verify_as_receiver(bundle, own, peer)
     print(f"{decision.decision}: {decision.reason}")
     return EXIT_OK if decision.accept else EXIT_REJECT
@@ -332,10 +290,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
-        # an unwritable output path; whatever was made durable stays so
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except RunError as exc:
+        print(f"{exc.stage} stage failed: {exc}", file=sys.stderr)
+        return _STAGE_CODES.get(exc.stage, EXIT_ABORT)
+    except tuple(_FAILURES) as exc:
+        label, code = next(entry for cls, entry in _FAILURES.items()
+                           if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -44,12 +44,31 @@ class LinkInsecureError(AnalysisError):
         self.best_len = best_len
 
 
+def require_real(name: str, value):
+    """Raise ValueError naming the value unless it is a number, not a
+    bool, that converts to a finite float; returns it."""
+    try:
+        finite = (isinstance(value, numbers.Real)
+                  and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:
+        raise ValueError(f"{name} must be a finite number, got an integer "
+                         "beyond float range") from None
+    if not finite:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def require_count(name: str, value) -> int:
+    """require_real on a nonnegative integer; returns it."""
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return require_real(name, value)
+
+
 def require_real_fields(obj) -> None:
-    """Raise ValueError naming the first field that is a bool or no number."""
+    """require_real on every field of a dataclass instance."""
     for field in fields(obj):
-        v = getattr(obj, field.name)
-        if not isinstance(v, numbers.Real) or isinstance(v, bool):
-            raise ValueError(f"{field.name} must be a number, got {v!r}")
+        require_real(field.name, getattr(obj, field.name))
 
 
 @dataclass(frozen=True)
@@ -65,8 +84,8 @@ class IntensityConfig:
 
     def __post_init__(self):
         require_real_fields(self)
-        if not 0 < self.nu < self.mu < math.inf:
-            raise ValueError("need 0 < nu < mu, mu finite")
+        if not 0 < self.nu < self.mu:
+            raise ValueError("need 0 < nu < mu")
         for name in ("p_mu", "p_nu", "p_z", "p_x"):
             v = getattr(self, name)
             if not 0 < v < 1:
@@ -103,10 +122,7 @@ class DetectionTally:
     def __post_init__(self):
         for name in ("n_z_mu", "n_z_nu", "m_z_mu", "m_z_nu",
                      "n_x_mu", "n_x_nu", "m_x_mu", "m_x_nu", "n_z_total"):
-            v = getattr(self, name)
-            if (not isinstance(v, numbers.Integral) or isinstance(v, bool)
-                    or v < 0):
-                raise ValueError(f"{name} must be a nonnegative integer")
+            require_count(name, getattr(self, name))
         for basis in ("z", "x"):
             for inten in ("mu", "nu"):
                 n = getattr(self, f"n_{basis}_{inten}")
@@ -115,10 +131,8 @@ class DetectionTally:
                     raise ValueError(f"m_{basis}_{inten} exceeds n_{basis}_{inten}")
         if self.n_z_total != self.n_z_mu + self.n_z_nu:
             raise ValueError("n_z_total must equal n_z_mu + n_z_nu")
-        if (isinstance(self.accumulation_time_s, bool)
-                or not 0 <= self.accumulation_time_s < math.inf):
-            raise ValueError("accumulation_time_s must be a finite "
-                             "nonnegative number")
+        if require_real("accumulation_time_s", self.accumulation_time_s) < 0:
+            raise ValueError("accumulation_time_s must be nonnegative")
 
     def detections_total(self, basis: str) -> int:
         return getattr(self, f"n_{basis}_mu") + getattr(self, f"n_{basis}_nu")
@@ -144,15 +158,16 @@ class SecurityTargets:
 
     def __post_init__(self):
         for name in ("eps_sf", "eps_cor", "eps_target"):
-            v = getattr(self, name)
-            if not 0 < v < 1:
+            if not 0 < require_real(name, getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be in (0, 1)")
-        if self.message_len_bits < 8 or self.message_len_bits % 8:
+        require_real("eps_cor's tag cost log2(2 / eps_cor)",
+                     math.log2(2 / self.eps_cor))
+        m = require_count("message_len_bits", self.message_len_bits)
+        if m < 8 or m % 8:
             raise ValueError("message_len_bits must be a positive multiple of 8")
-        if self.lambda_ec_bits is not None and (
-                isinstance(self.lambda_ec_bits, bool)
-                or not 0 <= self.lambda_ec_bits < math.inf):
-            raise ValueError("lambda_ec_bits must be a finite nonnegative number")
+        if (self.lambda_ec_bits is not None
+                and require_real("lambda_ec_bits", self.lambda_ec_bits) < 0):
+            raise ValueError("lambda_ec_bits must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -300,8 +315,9 @@ def link_bounds(tally: DetectionTally, cfg: IntensityConfig,
     Each basis's Hoeffding-corrected counts are computed once.  Vacuum
     detections err half the time, so twice the corrected decoy (nu) error
     count plus a sampling deviation caps them; the cap enters the basis's
-    single-photon lower bound.  Without the measured leakage
-    targets.lambda_ec_bits this raises InsufficientDataError.
+    single-photon lower bound.  Raises InsufficientDataError without the
+    measured leakage targets.lambda_ec_bits, and when a bound is not
+    finite before its clamp or leaves float range.
     """
     if tally.detections_total("z") == 0 or tally.detections_total("x") == 0:
         raise InsufficientDataError(
@@ -313,38 +329,52 @@ def link_bounds(tally: DetectionTally, cfg: IntensityConfig,
         raise InsufficientDataError(
             "no measured reconciliation leakage (lambda_ec_bits)")
     mu, nu, eps_sf = cfg.mu, cfg.nu, targets.eps_sf
-    t0, t1 = tau(0, cfg), tau(1, cfg)
-    per_basis = {}
-    for basis in ("z", "x"):
-        n_total = tally.detections_total(basis)
-        n_nu_low = hoeffding_shift(getattr(tally, f"n_{basis}_nu"), n_total,
-                                   nu, cfg.p_nu, eps_sf, upper=False)
-        n_mu_high = hoeffding_shift(getattr(tally, f"n_{basis}_mu"), n_total,
+    raw = {}    # each bound before its clamp, which must not hide inf or NaN
+    try:
+        t0, t1 = tau(0, cfg), tau(1, cfg)
+        per_basis = {}
+        for basis in ("z", "x"):
+            n_total = tally.detections_total(basis)
+            n_nu_low = hoeffding_shift(getattr(tally, f"n_{basis}_nu"),
+                                       n_total, nu, cfg.p_nu, eps_sf,
+                                       upper=False)
+            n_mu_high = hoeffding_shift(getattr(tally, f"n_{basis}_mu"),
+                                        n_total, mu, cfg.p_mu, eps_sf,
+                                        upper=True)
+            m_nu_high = hoeffding_shift(getattr(tally, f"m_{basis}_nu"),
+                                        tally.errors_total(basis),
+                                        nu, cfg.p_nu, eps_sf, upper=True)
+            deviation = math.sqrt(n_total / 2 * -math.log(eps_sf))
+            s0_u = raw[f"s_{basis}0_u"] = 2 * (t0 * m_nu_high + deviation)
+            s0_u = min(s0_u, float(n_total))
+            bracket = (n_nu_low - (nu ** 2 / mu ** 2) * n_mu_high
+                       - ((mu ** 2 - nu ** 2) / mu ** 2) * (s0_u / t0))
+            s1_l = raw[f"s_{basis}1_l"] = (t1 * mu / (nu * (mu - nu))
+                                           * bracket)
+            s1_l = min(max(s1_l, 0.0), float(n_total))
+            per_basis[basis] = n_nu_low, n_mu_high, s0_u, s1_l
+        n_nu_low, n_mu_high, s_z0_u, s_z1_l = per_basis["z"]
+        s_x1_l = per_basis["x"][3]
+        m_x_total = tally.errors_total("x")
+        m_mu_high = hoeffding_shift(tally.m_x_mu, m_x_total,
                                     mu, cfg.p_mu, eps_sf, upper=True)
-        m_nu_high = hoeffding_shift(getattr(tally, f"m_{basis}_nu"),
-                                    tally.errors_total(basis),
-                                    nu, cfg.p_nu, eps_sf, upper=True)
-        deviation = math.sqrt(n_total / 2 * -math.log(eps_sf))
-        s0_u = min(2 * (t0 * m_nu_high + deviation), float(n_total))
-        bracket = (n_nu_low - (nu ** 2 / mu ** 2) * n_mu_high
-                   - ((mu ** 2 - nu ** 2) / mu ** 2) * (s0_u / t0))
-        s1_l = min(max(t1 * mu / (nu * (mu - nu)) * bracket, 0.0),
-                   float(n_total))
-        per_basis[basis] = n_nu_low, n_mu_high, s0_u, s1_l
-    n_nu_low, n_mu_high, s_z0_u, s_z1_l = per_basis["z"]
-    s_x1_l = per_basis["x"][3]
-    m_x_total = tally.errors_total("x")
-    m_mu_high = hoeffding_shift(tally.m_x_mu, m_x_total,
-                                mu, cfg.p_mu, eps_sf, upper=True)
-    m_nu_low = hoeffding_shift(tally.m_x_nu, m_x_total,
-                               nu, cfg.p_nu, eps_sf, upper=False)
-    v_x1_u = max(t1 * (m_mu_high - m_nu_low) / (mu - nu), 0.0)
+        m_nu_low = hoeffding_shift(tally.m_x_nu, m_x_total,
+                                   nu, cfg.p_nu, eps_sf, upper=False)
+        raw["v_x1_u"] = t1 * (m_mu_high - m_nu_low) / (mu - nu)
+        raw["s_z0_l"] = t0 * (mu * n_nu_low - nu * n_mu_high) / (mu - nu)
+        for name, value in raw.items():
+            if not math.isfinite(value):
+                raise InsufficientDataError(
+                    f"{name} is {value} before its clamp")
+        v_x1_u = max(raw["v_x1_u"], 0.0)
+        phi_z_u = phase_error_upper(s_z1_l, s_x1_l, v_x1_u, eps_sf)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise InsufficientDataError(
+            f"link bounds out of float range: {exc}") from None
     return LinkBounds(
-        tau0=t0, tau1=t1,
-        s_z0_l=max(t0 * (mu * n_nu_low - nu * n_mu_high) / (mu - nu), 0.0),
+        tau0=t0, tau1=t1, s_z0_l=max(raw["s_z0_l"], 0.0),
         s_z0_u=s_z0_u, s_z1_l=s_z1_l, s_x1_l=s_x1_l, v_x1_u=v_x1_u,
-        phi_z_u=phase_error_upper(s_z1_l, s_x1_l, v_x1_u, eps_sf),
-        e_z=tally.e_z, lambda_ec=targets.lambda_ec_bits,
+        phi_z_u=phi_z_u, e_z=tally.e_z, lambda_ec=targets.lambda_ec_bits,
         n_z=tally.n_z_total, time_s=tally.accumulation_time_s)
 
 
@@ -443,7 +473,10 @@ def min_signature_length(tally: DetectionTally, cfg: IntensityConfig,
     best_eps = math.inf
     best_len: int | None = None
     rate = _entropy_rate(bounds, targets)
-    for length in range(8, bounds.n_z // 2 + 1, 8):
+    stop = bounds.n_z // 2
+    if rate < 0:    # past L = 1023 / -r, h_n <= r L makes eps overflow to inf
+        stop = int(min(stop, 1023 / -rate + 8))
+    for length in range(8, stop + 1, 8):
         h_n = _entropy_at(bounds, length, targets)
         eps = security_bounds(h_n, targets.message_len_bits, targets.eps_cor)[3]
         if eps < best_eps:

@@ -21,10 +21,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cascade import ReconciliationConfig, reconcile
+from .cascade import ReconciliationConfig, reconcile, tag_bit_count
 from .channel import ChannelModel, simulate_kgp
 from .finitekey import (AnalysisError, IntensityConfig, SecurityTargets,
-                        min_signature_length, report_at_length)
+                        min_signature_length, report_at_length,
+                        require_count, require_real)
 from .protocol import (SignatureBundle, connect_parties, run_distribution,
                        run_messaging)
 
@@ -37,12 +38,8 @@ class RunError(RuntimeError):
         self.stage = stage
 
 
-def _nonnegative(name: str, value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    return value
+# ten times the 1e11 pulses a 200 km Table 2 link needs; 2^63 fails when read
+MAX_PULSES = 10 ** 12
 
 
 def _typed(name: str, value, kind: type, what: str):
@@ -69,10 +66,15 @@ class LinkConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "LinkConfig":
         _require_known("link", d, ("intensity", "channel", "n_pulses", "seed"))
-        return cls(intensity=IntensityConfig(**d["intensity"]),
+        link = cls(intensity=IntensityConfig(**d["intensity"]),
                    channel=ChannelModel(**d["channel"]),
-                   n_pulses=_nonnegative("link n_pulses", d["n_pulses"]),
-                   seed=_nonnegative("link seed", d["seed"]))
+                   n_pulses=require_count("link n_pulses", d["n_pulses"]),
+                   seed=require_count("link seed", d["seed"]))
+        if link.n_pulses > MAX_PULSES:
+            raise ValueError(f"link n_pulses exceeds {MAX_PULSES:.0e}")
+        require_real("link accumulation time n_pulses / pulse_rate_hz",
+                     link.n_pulses / link.channel.pulse_rate_hz)
+        return link
 
 
 @dataclass(frozen=True)
@@ -97,15 +99,17 @@ class RunConfig:
         # the run measures the message length and the leakage itself
         targets = d.get("targets", {})
         _require_known("targets", targets, ("eps_sf", "eps_cor", "eps_target"))
-        return cls(link_bob=LinkConfig.from_dict(links["bob"]),
-                   link_charlie=LinkConfig.from_dict(links["charlie"]),
-                   targets=SecurityTargets(**targets),
-                   message_path=_typed("message_path", d["message_path"],
-                                       str, "a string"),
-                   tamper=_typed("tamper", d.get("tamper", False), bool,
-                                 "true or false"),
-                   protocol_seed=_nonnegative(
-                       "protocol_seed", d.get("protocol_seed", 2024)))
+        config = cls(link_bob=LinkConfig.from_dict(links["bob"]),
+                     link_charlie=LinkConfig.from_dict(links["charlie"]),
+                     targets=SecurityTargets(**targets),
+                     message_path=_typed("message_path", d["message_path"],
+                                         str, "a string"),
+                     tamper=_typed("tamper", d.get("tamper", False), bool,
+                                   "true or false"),
+                     protocol_seed=require_count(
+                         "protocol_seed", d.get("protocol_seed", 2024)))
+        tag_bit_count(config.targets.eps_cor)   # before any link runs
+        return config
 
 
 def _derived_seed(root: int, *key: int) -> int:
