@@ -425,7 +425,8 @@ def reconcile(key_a, key_b, cfg: ReconciliationConfig,
     b = np.asarray(key_b, dtype=np.uint8)
     if len(a) != len(b):
         raise ValueError("keys must have equal length")
-    estimate = float(np.count_nonzero(a != b)) / len(a) if len(a) else 0.0
+    # sampling noise can push the fraction past block_length's 0.5
+    estimate = min(np.count_nonzero(a != b) / len(a), 0.5) if len(a) else 0.0
 
     ep_a, ep_b = memory_pair()
     if transcript is not None:

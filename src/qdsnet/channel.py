@@ -31,10 +31,10 @@ class ChannelModel:
     """Physical parameters of one link, receiver included."""
 
     loss_db: float
-    detector_efficiency: float = 0.7
-    dark_count_prob: float = 1e-7
-    misalignment: float = 0.01
-    pulse_rate_hz: float = 5e7
+    detector_efficiency: float
+    dark_count_prob: float
+    misalignment: float
+    pulse_rate_hz: float
 
     def __post_init__(self):
         require_real_fields(self)

@@ -148,12 +148,12 @@ class DetectionTally:
 
 @dataclass(frozen=True)
 class SecurityTargets:
-    """Failure-probability budget and message parameters for one link."""
+    """One link's failure budget; the measured fields are None until measured."""
 
-    eps_sf: float = 1e-10
-    eps_cor: float = 1e-10
-    eps_target: float = 1e-5
-    message_len_bits: int = 8
+    eps_sf: float
+    eps_cor: float
+    eps_target: float
+    message_len_bits: int | None = None
     lambda_ec_bits: float | None = None
 
     def __post_init__(self):
@@ -162,8 +162,8 @@ class SecurityTargets:
                 raise ValueError(f"{name} must be in (0, 1)")
         require_real("eps_cor's tag cost log2(2 / eps_cor)",
                      math.log2(2 / self.eps_cor))
-        m = require_count("message_len_bits", self.message_len_bits)
-        if m < 8 or m % 8:
+        m = self.message_len_bits
+        if m is not None and (require_count("message_len_bits", m) < 8 or m % 8):
             raise ValueError("message_len_bits must be a positive multiple of 8")
         if (self.lambda_ec_bits is not None
                 and require_real("lambda_ec_bits", self.lambda_ec_bits) < 0):
@@ -315,19 +315,21 @@ def link_bounds(tally: DetectionTally, cfg: IntensityConfig,
     Each basis's Hoeffding-corrected counts are computed once.  Vacuum
     detections err half the time, so twice the corrected decoy (nu) error
     count plus a sampling deviation caps them; the cap enters the basis's
-    single-photon lower bound.  Raises InsufficientDataError without the
-    measured leakage targets.lambda_ec_bits, and when a bound is not
-    finite before its clamp or leaves float range.
+    single-photon lower bound.  Raises InsufficientDataError without a
+    measured message_len_bits or lambda_ec_bits, when n_Z / t is not
+    finite, and when a bound before its clamp is not finite or leaves
+    float range.
     """
     if tally.detections_total("z") == 0 or tally.detections_total("x") == 0:
         raise InsufficientDataError(
             "no detections in at least one basis; nothing to bound")
-    if tally.accumulation_time_s == 0:
+    t = tally.accumulation_time_s
+    if t == 0 or not math.isfinite(tally.n_z_total / t):
         raise InsufficientDataError(
-            "zero accumulation time; no signature rate to bound")
-    if targets.lambda_ec_bits is None:
-        raise InsufficientDataError(
-            "no measured reconciliation leakage (lambda_ec_bits)")
+            f"accumulation_time_s = {t:g} gives no finite signature rate")
+    for name in ("message_len_bits", "lambda_ec_bits"):
+        if getattr(targets, name) is None:
+            raise InsufficientDataError(f"no measured {name}")
     mu, nu, eps_sf = cfg.mu, cfg.nu, targets.eps_sf
     raw = {}    # each bound before its clamp, which must not hide inf or NaN
     try:

@@ -85,29 +85,29 @@ class RunConfig:
     link_charlie: LinkConfig
     targets: SecurityTargets
     message_path: str
-    tamper: bool = False
-    protocol_seed: int = 2024
+    protocol_seed: int
+    tamper: bool = False    # absent means an honest run
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         _require_known("config", d, ("links", "targets", "message_path",
                                      "tamper", "protocol_seed"))
-        links = d.get("links", {})
+        links = d["links"]
         if set(links) != {"bob", "charlie"}:
             raise ValueError("config must define exactly the links "
                              "'bob' and 'charlie'")
         # the run measures the message length and the leakage itself
-        targets = d.get("targets", {})
+        targets = d["targets"]
         _require_known("targets", targets, ("eps_sf", "eps_cor", "eps_target"))
         config = cls(link_bob=LinkConfig.from_dict(links["bob"]),
                      link_charlie=LinkConfig.from_dict(links["charlie"]),
                      targets=SecurityTargets(**targets),
                      message_path=_typed("message_path", d["message_path"],
                                          str, "a string"),
+                     protocol_seed=require_count("protocol_seed",
+                                                 d["protocol_seed"]),
                      tamper=_typed("tamper", d.get("tamper", False), bool,
-                                   "true or false"),
-                     protocol_seed=require_count(
-                         "protocol_seed", d.get("protocol_seed", 2024)))
+                                   "true or false"))
         tag_bit_count(config.targets.eps_cor)   # before any link runs
         return config
 

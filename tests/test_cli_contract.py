@@ -127,10 +127,25 @@ NAN_ROW = [(("intensity", "p_nu"), 1e-310), (("intensity", "p_mu"), 0.999),
 # every eps overflowed to inf, so the scan's early exit never fired (8 s)
 @example(edits=[(("targets", "lambda_ec_bits"), 1e308)],
          expected=(6, "link insecure: "))
+# a deleted field was once filled in by a default: L = 648 at eps 5.2e-6
+# without eps_target, 111.4 tps for a one-byte document without
+# message_len_bits
+@example(edits=[(("targets", "eps_target"), DELETE)],
+         expected=(3, "eps_target"))
+@example(edits=[(("targets", "message_len_bits"), DELETE)],
+         expected=(6, "insufficient data: no measured message_len_bits"))
+# n_Z / t overflowed, so the rate was inf and the report invalid JSON
+@example(edits=[(("tally", "accumulation_time_s"), 5e-324)],
+         expected=(6, "insufficient data: accumulation_time_s"))
 def test_analyze_contract(scratch, edits, expected):
     path = scratch / "row.json"
     path.write_text(json.dumps(_edited(ROW, edits)))
-    _expect(_run(["analyze", str(path)]), expected)
+    outcome = _run(["analyze", str(path)])
+    _expect(outcome, expected)
+    # a key the row holds, once deleted, is never read as a default
+    if any(value is DELETE and key_path[-1] != "unknown_key"
+           for key_path, value in edits):
+        assert outcome[0] != 0, edits
 
 
 @settings(max_examples=50, deadline=None)
@@ -157,6 +172,9 @@ def test_analyze_arbitrary_bytes(scratch, data):
 # 2^63 pulses would have run 8.8e12 shards; rejected before any runs
 @example(edits=[(("links", "charlie", "n_pulses"), 2 ** 63)],
          expected=(3, "n_pulses"))
+# a QBER past 0.5 ended in block_length's ValueError with exit 1
+@example(edits=[(("links", "bob", "channel", "misalignment"), 1.0)],
+         expected=(6, "security stage failed: bob link insecure: "))
 def test_simulate_contract(scratch, edits, expected):
     doc = scratch / "doc.bin"
     doc.write_bytes(b"a document to sign")
@@ -174,6 +192,21 @@ def test_pulse_budget_ceiling():
     cfg["links"]["bob"]["n_pulses"] = MAX_PULSES + 1
     with pytest.raises(ValueError, match="n_pulses"):
         RunConfig.from_dict(cfg)
+
+
+@pytest.mark.parametrize("key_path", [
+    path for path in _paths(DEMO) if path[-1] != "unknown_key"],
+    ids=".".join)
+def test_run_config_requires_every_key(scratch, key_path):
+    # only tamper may be absent, and the demo leaves it out
+    config = _edited(DEMO, [(key_path, DELETE)])
+    with pytest.raises((ValueError, TypeError, KeyError),
+                       match=key_path[-1]):
+        RunConfig.from_dict(config)
+    (scratch / "cfg.json").write_text(json.dumps(config))
+    code, err = _run(["simulate", "--config", str(scratch / "cfg.json"),
+                      "--out-dir", str(scratch / "out")])
+    assert code == 3 and key_path[-1] in err
 
 
 VERIFY_FILES = ("bundle.bin", "ann.bin", "bob.share", "charlie.store")

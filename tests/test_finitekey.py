@@ -134,6 +134,8 @@ def _link_inputs(draw):
     cfg = IntensityConfig(mu=nu + draw(st.floats(0.01, 1.0)), nu=nu,
                           p_mu=1 - p_nu, p_nu=p_nu, p_z=p_z, p_x=1 - p_z)
     targets = SecurityTargets(eps_sf=10 ** draw(st.floats(-15, -3)),
+                              eps_cor=1e-10, eps_target=1e-5,
+                              message_len_bits=8,
                               lambda_ec_bits=draw(st.floats(0, 1e7)))
     return tally, cfg, targets
 
@@ -196,7 +198,7 @@ def _small_row_inputs(draw):
                            accumulation_time_s=1.0)
     cfg = IntensityConfig(**row["intensity"])
     targets = SecurityTargets(
-        eps_sf=10 ** draw(st.floats(-10, -4)),
+        eps_sf=10 ** draw(st.floats(-10, -4)), eps_cor=1e-10,
         eps_target=draw(st.floats(1e-9, 1e-2)),
         message_len_bits=8 * draw(st.integers(1, 10**5)),
         lambda_ec_bits=0.0)
@@ -356,7 +358,8 @@ def test_zero_detection_tally_raises():
     tally = DetectionTally(n_z_mu=0, m_z_mu=0, n_x_mu=0, m_x_mu=0,
                            n_z_nu=0, m_z_nu=0, n_x_nu=0, m_x_nu=0,
                            n_z_total=0, accumulation_time_s=1.0)
-    targets = SecurityTargets(eps_target=1e-7, message_len_bits=1000,
+    targets = SecurityTargets(eps_sf=1e-10, eps_cor=1e-10,
+                              eps_target=1e-7, message_len_bits=1000,
                               lambda_ec_bits=0.0)
     with pytest.raises(InsufficientDataError):
         link_bounds(tally, cfg, targets)
@@ -365,11 +368,12 @@ def test_zero_detection_tally_raises():
 
 
 def test_targets_validation():
+    budget = dict(eps_sf=1e-10, eps_cor=1e-10, eps_target=1e-5)
     with pytest.raises(ValueError):
-        SecurityTargets(eps_sf=0.0)
+        SecurityTargets(**{**budget, "eps_sf": 0.0})
     with pytest.raises(ValueError):
-        SecurityTargets(eps_target=2.0)
+        SecurityTargets(**{**budget, "eps_target": 2.0})
     with pytest.raises(ValueError):
-        SecurityTargets(message_len_bits=12)
+        SecurityTargets(**budget, message_len_bits=12)
     with pytest.raises(ValueError):
-        SecurityTargets(lambda_ec_bits=-1.0)
+        SecurityTargets(**budget, lambda_ec_bits=-1.0)
