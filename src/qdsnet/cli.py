@@ -34,7 +34,7 @@ import numpy as np
 
 from . import files
 from .finitekey import (AnalysisError, InsufficientDataError,
-                        min_signature_length)
+                        min_signature_length, require_object)
 from .protocol import (KeyExhaustedError, KeyReuseError, KeyShare, KeyStore,
                        PositionAnnouncement, SignatureBundle, alice_sign,
                        extract_share, verify_as_receiver)
@@ -85,14 +85,14 @@ def reading(context: str):
 
 def cmd_analyze(args) -> int:
     with reading("cannot parse tally file"), open(args.tally) as fh:
-        doc = json.load(fh)
+        doc = require_object("tally document", json.load(fh))
     flags = {field: getattr(args, flag) for flag, field in (
         ("eps_target", "eps_target"), ("eps_sf", "eps_sf"),
         ("eps_cor", "eps_cor"), ("message_bits", "message_len_bits"),
         ("lambda_ec", "lambda_ec_bits")) if getattr(args, flag) is not None}
     with reading("invalid tally file field"):
-        tally, intensity, targets = row_inputs(
-            {**doc, "targets": {**doc.get("targets", {}), **flags}})
+        tally, intensity, targets = row_inputs({**doc, "targets": {
+            **require_object("targets", doc.get("targets", {})), **flags}})
 
     length, report = min_signature_length(tally, intensity, targets)
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"

@@ -58,6 +58,13 @@ def require_real(name: str, value):
     return value
 
 
+def require_object(name: str, value) -> dict:
+    """Raise ValueError naming the value unless it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 def require_count(name: str, value) -> int:
     """require_real on a nonnegative integer; returns it."""
     if not isinstance(value, numbers.Integral) or value < 0:
@@ -103,9 +110,9 @@ class DetectionTally:
     """Sifted detection/error counts per basis and intensity for one link.
 
     n_* are sifted detection counts, m_* the bit errors among them; the
-    suffix names the sender intensity.  n_z_total is carried explicitly
-    because accumulation stops when it reaches the configured key block
-    size.  accumulation_time_s is the wall-clock time the tally took.
+    suffix names the sender intensity.  n_z_total, the sifted Z key
+    length, must equal n_z_mu + n_z_nu.  accumulation_time_s is the
+    wall-clock time the tally took.
     """
 
     n_z_mu: int

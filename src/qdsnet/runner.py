@@ -25,7 +25,7 @@ from .cascade import ReconciliationConfig, reconcile, tag_bit_count
 from .channel import ChannelModel, simulate_kgp
 from .finitekey import (AnalysisError, IntensityConfig, SecurityTargets,
                         min_signature_length, report_at_length,
-                        require_count, require_real)
+                        require_count, require_object, require_real)
 from .protocol import (SignatureBundle, connect_parties, run_distribution,
                        run_messaging)
 
@@ -49,9 +49,7 @@ def _typed(name: str, value, kind: type, what: str):
 
 
 def _require_known(where: str, d: dict, known: tuple[str, ...]) -> None:
-    if not isinstance(d, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(d) - set(known))
+    unknown = sorted(set(require_object(where, d)) - set(known))
     if unknown:
         raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
 
@@ -66,12 +64,20 @@ class LinkConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "LinkConfig":
         _require_known("link", d, ("intensity", "channel", "n_pulses", "seed"))
-        link = cls(intensity=IntensityConfig(**d["intensity"]),
-                   channel=ChannelModel(**d["channel"]),
+        link = cls(intensity=IntensityConfig(
+                       **require_object("link intensity", d["intensity"])),
+                   channel=ChannelModel(
+                       **require_object("link channel", d["channel"])),
                    n_pulses=require_count("link n_pulses", d["n_pulses"]),
                    seed=require_count("link seed", d["seed"]))
         if link.n_pulses > MAX_PULSES:
             raise ValueError(f"link n_pulses exceeds {MAX_PULSES:.0e}")
+        p = link.intensity    # the simulator samples 1 - p_mu and 1 - p_z
+        for pair, total in (("p_mu + p_nu", p.p_mu + p.p_nu),
+                            ("p_z + p_x", p.p_z + p.p_x)):
+            if abs(total - 1.0) > 1e-12:
+                raise ValueError(f"link {pair} must equal 1 to float "
+                                 f"rounding, got {total!r}")
         require_real("link accumulation time n_pulses / pulse_rate_hz",
                      link.n_pulses / link.channel.pulse_rate_hz)
         return link
@@ -92,7 +98,7 @@ class RunConfig:
     def from_dict(cls, d: dict) -> "RunConfig":
         _require_known("config", d, ("links", "targets", "message_path",
                                      "tamper", "protocol_seed"))
-        links = d["links"]
+        links = require_object("links", d["links"])
         if set(links) != {"bob", "charlie"}:
             raise ValueError("config must define exactly the links "
                              "'bob' and 'charlie'")

@@ -44,7 +44,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from importlib import resources
 
 from .finitekey import (AnalysisError, DetectionTally, IntensityConfig,
-                        SecurityTargets, link_bounds, min_signature_length,
+                        SecurityTargets, min_signature_length, require_object,
                         signature_rate)
 
 ROW_FILES = (
@@ -80,14 +80,17 @@ def _ceil8(x: float) -> int:
 
 def row_inputs(row: dict) -> tuple[DetectionTally, IntensityConfig,
                                    SecurityTargets]:
-    tally = DetectionTally(**row["tally"])
-    intensity = IntensityConfig(**row["intensity"])
-    targets = SecurityTargets(**row["targets"])
-    return tally, intensity, targets
+    return tuple(cls(**require_object(key, row[key])) for cls, key in (
+        (DetectionTally, "tally"), (IntensityConfig, "intensity"),
+        (SecurityTargets, "targets")))
 
 
-def _link_cells(pub: dict, tally: DetectionTally, bounds) -> dict[str, dict]:
-    """Judge the cells that the link bounds fix before any length scan."""
+def _judge_cells(row: dict, tally: DetectionTally,
+                 intensity: IntensityConfig,
+                 targets: SecurityTargets) -> dict[str, dict]:
+    """Recompute one row's outputs at the given inputs; judge each cell."""
+    pub = row["published"]
+    length, report = min_signature_length(tally, intensity, targets)
     checks: dict[str, dict] = {}
 
     pub_ez = float(pub["e_z_percent"])
@@ -100,27 +103,17 @@ def _link_cells(pub: dict, tally: DetectionTally, bounds) -> dict[str, dict]:
 
     pub_s1 = float(pub["s_z1_l"])
     checks["s_z1_l"] = {
-        "computed": bounds.s_z1_l, "published": pub_s1,
-        "deviation": bounds.s_z1_l / pub_s1 - 1.0,
-        "pass": abs(bounds.s_z1_l / pub_s1 - 1.0) <= S_Z1_RTOL,
+        "computed": report.s_z1_l, "published": pub_s1,
+        "deviation": report.s_z1_l / pub_s1 - 1.0,
+        "pass": abs(report.s_z1_l / pub_s1 - 1.0) <= S_Z1_RTOL,
     }
 
     pub_phi = float(pub["phi_z_u"])
     checks["phi_z_u"] = {
-        "computed": bounds.phi_z_u, "published": pub_phi,
-        "deviation": bounds.phi_z_u / pub_phi - 1.0,
-        "pass": abs(bounds.phi_z_u / pub_phi - 1.0) <= PHI_RTOL,
+        "computed": report.phi_z_u, "published": pub_phi,
+        "deviation": report.phi_z_u / pub_phi - 1.0,
+        "pass": abs(report.phi_z_u / pub_phi - 1.0) <= PHI_RTOL,
     }
-    return checks
-
-
-def _judge_cells(row: dict, tally: DetectionTally,
-                 intensity: IntensityConfig,
-                 targets: SecurityTargets) -> dict[str, dict]:
-    """Recompute one row's outputs at the given inputs; judge each cell."""
-    pub = row["published"]
-    length, report = min_signature_length(tally, intensity, targets)
-    checks = _link_cells(pub, tally, report)
 
     t_s = float(pub["accumulation_time_s"])
     n_z = tally.n_z_total
@@ -216,38 +209,26 @@ def admissible_points(intensity: IntensityConfig) -> list[dict[str, Decimal]]:
     return sorted(points, key=digits_moved)
 
 
-def input_witness(row: dict,
-                  printed_result: dict | None = None) -> dict | None:
+def input_witness(row: dict) -> dict | None:
     """First admissible input point where every cell passes.
 
     Walks admissible_points in order and returns the first point where
     all six cells pass their unchanged bands: its offsets from the
     printed inputs, its reproduced L and its R_S deviation.  Returns
-    None when no admissible point passes.  printed_result, reproduce_row's
-    result for the same row, saves re-judging the printed inputs when
-    they are themselves admissible.
+    None when no admissible point passes.
     """
     tally, intensity, targets = row_inputs(row)
     centre = _printed(intensity)
     for point in admissible_points(intensity):
-        offsets = {name: float(value - centre[name])
-                   for name, value in point.items()}
-        if printed_result is not None and not any(offsets.values()):
-            checks = printed_result["checks"]
-        else:
-            moved = dataclasses.replace(intensity, **{
-                name: float(value) for name, value in point.items()})
-            try:
-                # the link cells cost a tenth of the length scan
-                bounds = link_bounds(tally, moved, targets)
-                if not all(c["pass"] for c in _link_cells(
-                        row["published"], tally, bounds).values()):
-                    continue
-                checks = _judge_cells(row, tally, moved, targets)
-            except AnalysisError:
-                continue
+        moved = dataclasses.replace(intensity, **{
+            name: float(value) for name, value in point.items()})
+        try:
+            checks = _judge_cells(row, tally, moved, targets)
+        except AnalysisError:
+            continue
         if all(c["pass"] for c in checks.values()):
-            return {"offsets": offsets,
+            return {"offsets": {name: float(value - centre[name])
+                                for name, value in point.items()},
                     "signature_len_bits":
                         checks["signature_len_bits"]["computed"],
                     "rate_deviation":
@@ -268,11 +249,8 @@ def reproduce_table() -> dict:
     all_pass judges the printed inputs; all_reproduced holds when every
     row has a witness.
     """
-    results = []
-    for row in load_rows():
-        res = reproduce_row(row)
-        res["witness"] = input_witness(row, printed_result=res)
-        results.append(res)
+    results = [{**reproduce_row(row), "witness": input_witness(row)}
+               for row in load_rows()]
     return {"rows": results,
             "all_pass": all(r["row_pass"] for r in results),
             "all_reproduced": all(r["witness"] is not None

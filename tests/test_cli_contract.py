@@ -209,6 +209,34 @@ def test_run_config_requires_every_key(scratch, key_path):
     assert code == 3 and key_path[-1] in err
 
 
+# a section that was not an object once failed in Python's ** binding or
+# in indexing, and the error line named no section; priors the simulator
+# does not sample were accepted and analysed
+@pytest.mark.parametrize("command, doc, fragment", [
+    ("simulate", _edited(DEMO, [(("links",), ["bob", "charlie"])]),
+     "links must be a JSON object"),
+    ("simulate", _edited(DEMO, [(("links", "bob", "intensity", "p_nu"),
+                                 0.304)]), "p_mu + p_nu must equal 1"),
+    ("simulate", _edited(DEMO, [(("links", "charlie", "intensity", "p_x"),
+                                 0.254)]), "p_z + p_x must equal 1"),
+    ("analyze", _edited(ROW, [(("tally",), 5)]),
+     "tally must be a JSON object"),
+    ("analyze", _edited(ROW, [(("intensity",), [])]),
+     "intensity must be a JSON object"),
+    ("analyze", _edited(ROW, [(("targets",), "x")]),
+     "targets must be a JSON object"),
+    ("analyze", [], "tally document must be a JSON object"),
+], ids=["links", "p_nu", "p_x", "tally", "intensity", "targets", "document"])
+def test_malformed_section_is_named(scratch, command, doc, fragment):
+    path = scratch / "section.json"
+    path.write_text(json.dumps(doc))
+    argv = (["analyze", str(path)] if command == "analyze" else
+            ["simulate", "--config", str(path),
+             "--out-dir", str(scratch / "out")])
+    code, err = _run(argv)
+    assert code == 3 and err.startswith("error: ") and fragment in err, err
+
+
 VERIFY_FILES = ("bundle.bin", "ann.bin", "bob.share", "charlie.store")
 
 
