@@ -40,10 +40,11 @@ class ChannelModel:
         require_real_fields(self)
         if self.loss_db < 0:
             raise ValueError("loss_db must be nonnegative")
-        for name in ("detector_efficiency", "dark_count_prob", "misalignment"):
-            v = getattr(self, name)
-            if not 0 <= v <= 1:
-                raise ValueError(f"{name} must be in [0, 1]")
+        # past 1/2 the two-detector click_probability exceeds 1
+        for name, top in (("detector_efficiency", 1), ("dark_count_prob", 0.5),
+                          ("misalignment", 1)):
+            if not 0 <= getattr(self, name) <= top:
+                raise ValueError(f"{name} must be in [0, {top}]")
         if self.pulse_rate_hz <= 0:
             raise ValueError("pulse_rate_hz must be positive")
 
@@ -95,17 +96,16 @@ class SiftedBatch:
     sender_bits: np.ndarray
 
     def __post_init__(self):
-        if len(self.alice_bits) != self.tally.n_z_total:
-            raise ValueError("alice_bits length must equal n_z_total")
-        if len(self.sender_bits) != self.tally.n_z_total:
-            raise ValueError("sender_bits length must equal n_z_total")
+        for name in ("alice_bits", "sender_bits"):
+            if len(getattr(self, name)) != self.tally.n_z_total:
+                raise ValueError(f"{name} length must equal n_z_total")
 
 
 def _shard_rng(seed: int, shard: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(shard,)))
 
 
-def _sift_probabilities(cfg: IntensityConfig, model: ChannelModel
+def _sift_probabilities(cfg: IntensityConfig, p_z: float, model: ChannelModel
                         ) -> tuple[dict[tuple[str, str], float],
                                    dict[str, float]]:
     """Per-pulse sifting probabilities, the one source for both the
@@ -113,9 +113,9 @@ def _sift_probabilities(cfg: IntensityConfig, model: ChannelModel
 
     Returns the probability that a pulse survives sifting, keyed by
     (basis, intensity), and the error probability of a survivor, keyed
-    by intensity.  ν is sent with probability 1 − p_mu and the X basis is
-    chosen with 1 − p_z, so cfg.p_nu and cfg.p_x, which may be rounded,
-    never enter.  Sender and receiver pick the basis independently.
+    by intensity.  ν is sent with probability 1 − p_mu, so cfg.p_nu,
+    which a printed table may round, never enters.  Sender and receiver
+    pick the Z basis independently, each with probability p_z.
     """
     keep: dict[tuple[str, str], float] = {}
     p_err: dict[str, float] = {}
@@ -123,7 +123,7 @@ def _sift_probabilities(cfg: IntensityConfig, model: ChannelModel
                               ("nu", cfg.nu, 1.0 - cfg.p_mu)):
         p_click = click_probability(i_val, model)
         p_err[inten] = error_probability(i_val, model)
-        for basis, p_b in (("z", cfg.p_z), ("x", 1.0 - cfg.p_z)):
+        for basis, p_b in (("z", p_z), ("x", 1.0 - p_z)):
             keep[basis, inten] = p_i * p_b * p_b * p_click
     return keep, p_err
 
@@ -162,20 +162,20 @@ def _simulate_shard(seed: int, shard: int, n: int,
     return counts, sender_bit, sender_bit ^ erred
 
 
-def simulate_kgp(n_pulses: int, cfg: IntensityConfig, model: ChannelModel,
-                 seed: int) -> SiftedBatch:
+def simulate_kgp(n_pulses: int, cfg: IntensityConfig, p_z: float,
+                 model: ChannelModel, seed: int) -> SiftedBatch:
     """Simulate one sender-to-Alice key generation session.
 
     Each pulse picks an intensity, a sender basis and a receiver basis
-    (passive, same priors), clicks, and errs given a click.  Only
-    matched-basis clicks survive sifting; Z-basis survivors contribute
-    key bits, X-basis survivors only tallies.  Each shard samples the
-    survivors directly (see _simulate_shard) from its own substream.
-    Deterministic for a fixed (seed, cfg, model).
+    (passive, each Z with probability p_z), clicks, and errs given a
+    click.  Only matched-basis clicks survive sifting; Z-basis survivors
+    contribute key bits, X-basis survivors only tallies.  Each shard
+    samples the survivors directly (see _simulate_shard) from its own
+    substream.  Deterministic for a fixed (seed, cfg, p_z, model).
     """
     if n_pulses < 0:
         raise ValueError("n_pulses must be nonnegative")
-    keep, p_err = _sift_probabilities(cfg, model)
+    keep, p_err = _sift_probabilities(cfg, p_z, model)
 
     counts = {k: 0 for k in ("n_z_mu", "n_z_nu", "m_z_mu", "m_z_nu",
                              "n_x_mu", "n_x_nu", "m_x_mu", "m_x_nu")}
@@ -192,10 +192,8 @@ def simulate_kgp(n_pulses: int, cfg: IntensityConfig, model: ChannelModel,
         sender_chunks.append(sender)
         alice_chunks.append(alice)
 
-    sender_bits = (np.concatenate(sender_chunks) if sender_chunks
-                   else np.zeros(0, dtype=np.uint8))
-    alice_bits = (np.concatenate(alice_chunks) if alice_chunks
-                  else np.zeros(0, dtype=np.uint8))
+    sender_bits = np.concatenate(sender_chunks or [np.zeros(0, np.uint8)])
+    alice_bits = np.concatenate(alice_chunks or [np.zeros(0, np.uint8)])
     tally = DetectionTally(
         n_z_total=counts["n_z_mu"] + counts["n_z_nu"],
         accumulation_time_s=n_pulses / model.pulse_rate_hz,
@@ -208,9 +206,10 @@ def simulate_kgp(n_pulses: int, cfg: IntensityConfig, model: ChannelModel,
                        sender_bits=sender_bits)
 
 
-def expected_rates(cfg: IntensityConfig, model: ChannelModel) -> dict[str, float]:
+def expected_rates(cfg: IntensityConfig, p_z: float,
+                   model: ChannelModel) -> dict[str, float]:
     """Per-pulse expected rates for each tally field (exact, unrounded)."""
-    keep, p_err = _sift_probabilities(cfg, model)
+    keep, p_err = _sift_probabilities(cfg, p_z, model)
     out: dict[str, float] = {}
     for (basis, inten), q in keep.items():
         out[f"n_{basis}_{inten}"] = q
@@ -218,12 +217,12 @@ def expected_rates(cfg: IntensityConfig, model: ChannelModel) -> dict[str, float
     return out
 
 
-def expected_tally(n_pulses: int, cfg: IntensityConfig,
+def expected_tally(n_pulses: int, cfg: IntensityConfig, p_z: float,
                    model: ChannelModel) -> DetectionTally:
     """Expectation of simulate_kgp's tally, rounded to integer counts."""
     if n_pulses < 0:
         raise ValueError("n_pulses must be nonnegative")
-    rates = expected_rates(cfg, model)
+    rates = expected_rates(cfg, p_z, model)
     counts = {k: round(n_pulses * v) for k, v in rates.items()}
     return DetectionTally(
         n_z_total=counts["n_z_mu"] + counts["n_z_nu"],

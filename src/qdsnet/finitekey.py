@@ -80,29 +80,24 @@ def require_real_fields(obj) -> None:
 
 @dataclass(frozen=True)
 class IntensityConfig:
-    """Signal/decoy intensities and the sender's basis/intensity priors."""
+    """Signal/decoy intensities and their priors, all the analysis reads."""
 
     mu: float
     nu: float
     p_mu: float
     p_nu: float
-    p_z: float
-    p_x: float
 
     def __post_init__(self):
         require_real_fields(self)
         if not 0 < self.nu < self.mu:
             raise ValueError("need 0 < nu < mu")
-        for name in ("p_mu", "p_nu", "p_z", "p_x"):
-            v = getattr(self, name)
-            if not 0 < v < 1:
+        for name in ("p_nu", "p_mu"):
+            if not 0 < getattr(self, name) < 1:
                 raise ValueError(f"{name} must be in (0, 1)")
-        # published parameter tables are rounded to 3 decimals, so allow
-        # a little slack in the simplex constraints
+        # published tables print the priors to 3 decimals (200 km A-C:
+        # 0.768 + 0.233), so allow a little slack in their sum
         if abs(self.p_mu + self.p_nu - 1.0) > 5e-3:
             raise ValueError("p_mu + p_nu must sum to 1")
-        if abs(self.p_z + self.p_x - 1.0) > 5e-3:
-            raise ValueError("p_z + p_x must sum to 1")
 
 
 @dataclass(frozen=True)

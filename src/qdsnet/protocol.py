@@ -32,9 +32,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .divhash import hash_document
-from .framing import (KeyShare, MsgType, PositionAnnouncement,
+from .framing import (FrameError, KeyShare, MsgType, PositionAnnouncement,
                       SignatureBundle, VerifyDecision, _as_bits, pack_bits,
                       parse_payload, unpack_bits)
+from .transport import (RecordingEndpoint, TransportError, memory_pair,
+                        socket_pair)
 
 ROLE_ALICE = "alice"
 ROLE_BOB = "bob"
@@ -55,6 +57,10 @@ class KeyExhaustedError(ProtocolError):
 
 class KeyReuseError(ProtocolError):
     """A position was consumed twice; the one-time property forbids it."""
+
+
+class PositionRangeError(ProtocolError, ValueError):
+    """An announced position outside the store: a malformed input."""
 
 
 @dataclass
@@ -80,7 +86,7 @@ class KeyStore:
         if len(np.unique(idx)) != len(idx):
             raise KeyReuseError("duplicate positions in one extraction")
         if idx.size and (idx.min() < 0 or idx.max() >= len(self.key_bits)):
-            raise ValueError("position out of range")
+            raise PositionRangeError("position out of range")
         if np.any(self.used_mask[idx]):
             raise KeyReuseError(f"{self.owner}: position already consumed")
         self.used_mask[idx] = True
@@ -136,8 +142,6 @@ def extract_share(store: KeyStore, announcement: PositionAnnouncement
 
 def sign(message: bytes, x_a, y_a, p_seed) -> SignatureBundle:
     """Mask the digest with X_a and the one-time hash seed with Y_a."""
-    if not message:
-        raise ValueError("cannot sign an empty message")
     x = _as_bits(x_a)
     y = _as_bits(y_a)
     L = len(x)
@@ -202,8 +206,6 @@ def connect_parties(alice: KeyStore, bob: KeyStore, charlie: KeyStore,
     both speak the identical frame codec.  Returns
     ({role: Party}, {"<role>:<peer>": entry list}).
     """
-    from .transport import RecordingEndpoint, memory_pair, socket_pair
-
     if transport not in ("inproc", "socket"):
         raise ValueError(f"unknown transport {transport!r}")
     make_pair = memory_pair if transport == "inproc" else socket_pair
@@ -236,6 +238,8 @@ def alice_sign(store: KeyStore, message: bytes, L: int, position_seed,
                p_seed):
     """Signer: announces the positions to both receivers, signs to Bob.
     Takes no frames; returns ((announcement, bundle), the pairs to send)."""
+    if not message:     # before any key position is spent
+        raise ValueError("cannot sign an empty message")
     ann = select_positions(store, L, position_seed)
     bits = store.key_bits[list(ann.positions)]
     bundle = sign(message, bits[:L], bits[L:], p_seed)
@@ -289,9 +293,9 @@ def run_messaging(parties: dict, message: bytes, *,
     returns (result, the last pairs to send).  A first-in first-out
     queue holds the frames the roles emit.  Each is sent on the sender's
     endpoint, received on the addressee's and fed to the addressee,
-    whose replies join the queue.  A role or transport error, a frame
-    for a role that is done, or a queue that empties before every role
-    is done, aborts.
+    whose replies join the queue.  A ProtocolError, FrameError or
+    TransportError, a frame for a role that is done, or a queue that
+    empties before every role is done, aborts; anything else propagates.
     """
     scripts = {ROLE_BOB: bob_script(parties[ROLE_BOB].store, tamper),
                ROLE_CHARLIE: charlie_script(parties[ROLE_CHARLIE].store)}
@@ -330,7 +334,7 @@ def run_messaging(parties: dict, message: bytes, *,
             who = unfinished[0]
             raise ProtocolError("no frames left before "
                                 f"{', '.join(unfinished)} finished")
-    except Exception as exc:
+    except (ProtocolError, FrameError, TransportError) as exc:
         return MessagingOutcome(
             status="abort", bob_decision="abort", bob_reason="",
             charlie_decision="abort", charlie_reason="",

@@ -1,10 +1,10 @@
 """Full-stack signing runs: channel simulation through verification.
 
 A run config names two quantum links (Bob's and Charlie's, each with
-source intensities, a channel model, a pulse budget, and a seed), the
-security targets, and the path of the document to sign.  The runner
-reads no file: the caller loads the config and passes the document's
-bytes.  run_simulation takes each link in turn through
+source intensities, a basis prior, a channel model, a pulse budget and
+a seed), the security targets, and the path of the document to sign.
+The runner reads no file: the caller loads the config and passes the
+document's bytes.  run_simulation takes each link in turn through
 
     simulate -> reconcile Alice's copy -> minimal length from the leakage
 
@@ -17,7 +17,7 @@ byte-identical outcomes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -57,27 +57,27 @@ def _require_known(where: str, d: dict, known: tuple[str, ...]) -> None:
 @dataclass(frozen=True)
 class LinkConfig:
     intensity: IntensityConfig
+    p_z: float
     channel: ChannelModel
     n_pulses: int
     seed: int
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinkConfig":
-        _require_known("link", d, ("intensity", "channel", "n_pulses", "seed"))
-        link = cls(intensity=IntensityConfig(
-                       **require_object("link intensity", d["intensity"])),
+        _require_known("link", d, tuple(f.name for f in fields(cls)))
+        intensity = d["intensity"]    # p_nu alone; p_mu is 1 - p_nu
+        _require_known("link intensity", intensity, ("mu", "nu", "p_nu"))
+        p_nu = require_real("p_nu", intensity["p_nu"])
+        link = cls(intensity=IntensityConfig(**intensity, p_mu=1 - p_nu),
+                   p_z=require_real("link p_z", d["p_z"]),
                    channel=ChannelModel(
                        **require_object("link channel", d["channel"])),
                    n_pulses=require_count("link n_pulses", d["n_pulses"]),
                    seed=require_count("link seed", d["seed"]))
+        if not 0 < link.p_z < 1:
+            raise ValueError("link p_z must be in (0, 1)")
         if link.n_pulses > MAX_PULSES:
             raise ValueError(f"link n_pulses exceeds {MAX_PULSES:.0e}")
-        p = link.intensity    # the simulator samples 1 - p_mu and 1 - p_z
-        for pair, total in (("p_mu + p_nu", p.p_mu + p.p_nu),
-                            ("p_z + p_x", p.p_z + p.p_x)):
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"link {pair} must equal 1 to float "
-                                 f"rounding, got {total!r}")
         require_real("link accumulation time n_pulses / pulse_rate_hz",
                      link.n_pulses / link.channel.pulse_rate_hz)
         return link
@@ -139,8 +139,8 @@ def run_simulation(config: RunConfig, message: bytes) -> dict:
     links = {}
     for idx, (name, link) in enumerate((("bob", config.link_bob),
                                         ("charlie", config.link_charlie))):
-        batch = simulate_kgp(link.n_pulses, link.intensity, link.channel,
-                             link.seed)
+        batch = simulate_kgp(link.n_pulses, link.intensity, link.p_z,
+                             link.channel, link.seed)
         tally = batch.tally
         if tally.n_z_total < 16:
             raise RunError("simulation",

@@ -178,7 +178,7 @@ def count_irreducible_degree2() -> int:
 # Per-pulse link simulation, the reference for the click-only sampler
 
 
-def slow_simulate_kgp(n_pulses: int, cfg, model, seed: int):
+def slow_simulate_kgp(n_pulses: int, cfg, p_z: float, model, seed: int):
     """Sample every pulse: intensity, both bases, bit, click and error.
 
     Same shards and substreams as qdsnet.channel.simulate_kgp, but six
@@ -202,8 +202,8 @@ def slow_simulate_kgp(n_pulses: int, cfg, model, seed: int):
         rng = np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=(shard,)))
         is_mu = rng.random(n) < cfg.p_mu
-        sender_z = rng.random(n) < cfg.p_z
-        receiver_z = rng.random(n) < cfg.p_z
+        sender_z = rng.random(n) < p_z
+        receiver_z = rng.random(n) < p_z
         sender_bit = rng.integers(0, 2, size=n, dtype=np.uint8)
         u_click = rng.random(n)
         u_err = rng.random(n)
@@ -228,6 +228,64 @@ def slow_simulate_kgp(n_pulses: int, cfg, model, seed: int):
                            **counts)
     return SiftedBatch(tally=tally, alice_bits=np.concatenate(alice_chunks),
                        sender_bits=np.concatenate(sender_chunks))
+
+
+# ---------------------------------------------------------------------------
+# Photon-number-resolved link, the ground truth for the decoy bounds
+
+# photon numbers from here up share one yield
+PHOTON_CAP = 12
+
+
+def photon_resolved_link(n_pulses: int, cfg, p_z: float, model, rng):
+    """One link's tally together with the photon-number truth behind it.
+
+    The physics of qdsnet.channel resolved by photon number: a pulse of
+    intensity k (nu with probability 1 - p_mu) sent and measured in
+    basis b (each end Z with probability p_z) carries n ~ Poisson(k)
+    photons, clicks with Y_n = 1 - (1 - 2 p_dark)(1 - eta)^n and errs
+    given a click with (p_dark (1 - eta)^n + e_d (1 - (1 - eta)^n)) / Y_n;
+    averaged over n these are channel's click and error probabilities.
+    Photon numbers from PHOTON_CAP up share its yield, which is still a
+    yield sequence the decoy bounds must cover.  A single-photon Z
+    detection has a phase error with the single-photon error rate.
+
+    Returns (DetectionTally, truth): truth holds the realized vacuum and
+    single-photon Z detections z0 and z1, the single-photon X detections
+    x1 and their errors x1_errors, and z1_phase_errors.
+    """
+    from qdsnet.finitekey import DetectionTally
+    n = np.arange(PHOTON_CAP + 1)
+    miss = (1 - model.eta) ** n
+    yields = 1 - (1 - 2 * model.dark_count_prob) * miss
+    err = np.divide(model.dark_count_prob * miss
+                    + model.misalignment * (1 - miss), yields,
+                    out=np.full(len(n), 0.5), where=yields > 0)
+    cells = [(basis, inten) for basis in ("z", "x") for inten in ("mu", "nu")]
+    sources = {"mu": (cfg.mu, cfg.p_mu), "nu": (cfg.nu, 1 - cfg.p_mu)}
+    bases = {"z": p_z, "x": 1 - p_z}
+    keep = [sources[inten][1] * bases[basis] ** 2 for basis, inten in cells]
+    sent = rng.multinomial(n_pulses, keep + [max(1 - sum(keep), 0.0)])
+    counts, truth = {}, dict.fromkeys(("z0", "z1", "x1", "x1_errors"), 0)
+    for (basis, inten), n_sent in zip(cells, sent):
+        k = sources[inten][0]
+        pmf = [math.exp(-k) * k ** j / math.factorial(j) for j in n[:-1]]
+        by_n = rng.multinomial(n_sent, pmf + [max(1 - sum(pmf), 0.0)])
+        clicks = rng.binomial(by_n, yields)
+        errors = rng.binomial(clicks, err)
+        counts[f"n_{basis}_{inten}"] = int(clicks.sum())
+        counts[f"m_{basis}_{inten}"] = int(errors.sum())
+        if basis == "z":
+            truth["z0"] += int(clicks[0])
+            truth["z1"] += int(clicks[1])
+        else:
+            truth["x1"] += int(clicks[1])
+            truth["x1_errors"] += int(errors[1])
+    truth["z1_phase_errors"] = int(rng.binomial(truth["z1"], err[1]))
+    tally = DetectionTally(n_z_total=counts["n_z_mu"] + counts["n_z_nu"],
+                           accumulation_time_s=n_pulses / model.pulse_rate_hz,
+                           **counts)
+    return tally, truth
 
 
 # ---------------------------------------------------------------------------

@@ -402,13 +402,12 @@ def test_criterion_6_estimator_properties(capsys):
             problems.append(f"{name}: eps_sf loosening grew L")
 
     # simulator replay byte-identity
-    icfg = IntensityConfig(mu=0.5, nu=0.1, p_mu=0.7, p_nu=0.3,
-                           p_z=0.75, p_x=0.25)
+    icfg = IntensityConfig(mu=0.5, nu=0.1, p_mu=0.7, p_nu=0.3)
     model = ChannelModel(loss_db=10.0, detector_efficiency=1.0,
                          dark_count_prob=1e-7, misalignment=0.01,
                          pulse_rate_hz=1e9)
-    b1 = simulate_kgp(500_000, icfg, model, seed=5)
-    b2 = simulate_kgp(500_000, icfg, model, seed=5)
+    b1 = simulate_kgp(500_000, icfg, 0.75, model, seed=5)
+    b2 = simulate_kgp(500_000, icfg, 0.75, model, seed=5)
     if (b1.tally != b2.tally
             or b1.alice_bits.tobytes() != b2.alice_bits.tobytes()
             or b1.sender_bits.tobytes() != b2.sender_bits.tobytes()):

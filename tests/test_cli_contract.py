@@ -175,6 +175,13 @@ def test_analyze_arbitrary_bytes(scratch, data):
 # a QBER past 0.5 ended in block_length's ValueError with exit 1
 @example(edits=[(("links", "bob", "channel", "misalignment"), 1.0)],
          expected=(6, "security stage failed: bob link insecure: "))
+# past 1/2 the click probability exceeded 1, and the simulator's
+# multinomial ended in a ValueError with exit 1
+@example(edits=[(("links", "bob", "channel", "dark_count_prob"), 1.0)],
+         expected=(3, "dark_count_prob"))
+@example(edits=[(("links", "charlie", "channel", "dark_count_prob"), 0.6),
+                (("links", "charlie", "p_z"), 0.99)],
+         expected=(3, "dark_count_prob"))
 def test_simulate_contract(scratch, edits, expected):
     doc = scratch / "doc.bin"
     doc.write_bytes(b"a document to sign")
@@ -210,15 +217,17 @@ def test_run_config_requires_every_key(scratch, key_path):
 
 
 # a section that was not an object once failed in Python's ** binding or
-# in indexing, and the error line named no section; priors the simulator
-# does not sample were accepted and analysed
+# in indexing, and the error line named no section; a link states each
+# prior pair once (p_nu; p_z), so naming its other half is an error
 @pytest.mark.parametrize("command, doc, fragment", [
     ("simulate", _edited(DEMO, [(("links",), ["bob", "charlie"])]),
      "links must be a JSON object"),
-    ("simulate", _edited(DEMO, [(("links", "bob", "intensity", "p_nu"),
-                                 0.304)]), "p_mu + p_nu must equal 1"),
+    ("simulate", _edited(DEMO, [(("links", "bob", "intensity", "p_mu"),
+                                 0.7)]),
+     "unknown link intensity key(s): p_mu"),
     ("simulate", _edited(DEMO, [(("links", "charlie", "intensity", "p_x"),
-                                 0.254)]), "p_z + p_x must equal 1"),
+                                 0.25)]),
+     "unknown link intensity key(s): p_x"),
     ("analyze", _edited(ROW, [(("tally",), 5)]),
      "tally must be a JSON object"),
     ("analyze", _edited(ROW, [(("intensity",), [])]),

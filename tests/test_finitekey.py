@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
+from qdsnet.channel import ChannelModel
 from qdsnet.finitekey import (DetectionTally, IntensityConfig,
                               InsufficientDataError, LinkInsecureError,
                               SecurityReport, SecurityTargets, _entropy_at,
@@ -16,12 +17,12 @@ from qdsnet.finitekey import (DetectionTally, IntensityConfig,
                               security_bounds, signature_rate, tau)
 from qdsnet.table2 import load_rows, row_inputs
 
-from helpers import full_scan_min_signature_length, keyed_tally
+from helpers import (full_scan_min_signature_length, keyed_tally,
+                     photon_resolved_link)
 
 
 def test_tau_against_scipy_poisson_mixture():
-    cfg = IntensityConfig(mu=0.479, nu=0.127, p_mu=0.775, p_nu=0.225,
-                          p_z=0.935, p_x=0.065)
+    cfg = IntensityConfig(mu=0.479, nu=0.127, p_mu=0.775, p_nu=0.225)
     for n in range(6):
         want = cfg.p_mu * poisson.pmf(n, cfg.mu) + \
             cfg.p_nu * poisson.pmf(n, cfg.nu)
@@ -31,8 +32,7 @@ def test_tau_against_scipy_poisson_mixture():
 
 
 def test_tau_sums_to_one():
-    cfg = IntensityConfig(mu=0.6, nu=0.15, p_mu=0.7, p_nu=0.3,
-                          p_z=0.9, p_x=0.1)
+    cfg = IntensityConfig(mu=0.6, nu=0.15, p_mu=0.7, p_nu=0.3)
     assert sum(tau(n, cfg) for n in range(60)) == pytest.approx(1.0)
 
 
@@ -130,9 +130,8 @@ def _link_inputs(draw):
                            accumulation_time_s=draw(st.floats(1e-3, 1e4)))
     nu = draw(st.floats(0.01, 0.5))
     p_nu = draw(st.floats(0.01, 0.99))
-    p_z = draw(st.floats(0.01, 0.99))
     cfg = IntensityConfig(mu=nu + draw(st.floats(0.01, 1.0)), nu=nu,
-                          p_mu=1 - p_nu, p_nu=p_nu, p_z=p_z, p_x=1 - p_z)
+                          p_mu=1 - p_nu, p_nu=p_nu)
     targets = SecurityTargets(eps_sf=10 ** draw(st.floats(-15, -3)),
                               eps_cor=1e-10, eps_target=1e-5,
                               message_len_bits=8,
@@ -171,6 +170,44 @@ def test_entropy_stays_under_rate_times_length(inputs, data):
     length = data.draw(st.integers(1, b.n_z - 1))
     assert _entropy_at(b, length, targets) <= (
         _entropy_rate(b, targets) * length)
+
+
+@st.composite
+def _physical_links(draw):
+    """A link drawn over the ranges of a lossy 1-decoy source, with the
+    seed of its photon-number-resolved sampling."""
+    mu = draw(st.floats(0.2, 0.9))
+    p_mu = draw(st.floats(0.4, 0.95))
+    cfg = IntensityConfig(mu=mu, nu=draw(st.floats(0.02, 0.6 * mu)),
+                          p_mu=p_mu, p_nu=1 - p_mu)
+    model = ChannelModel(loss_db=draw(st.floats(0, 45)),
+                         detector_efficiency=draw(st.floats(0.1, 1)),
+                         dark_count_prob=10 ** draw(st.floats(-8, -5)),
+                         misalignment=draw(st.floats(0, 0.05)),
+                         pulse_rate_hz=1e9)
+    return (cfg, draw(st.floats(0.5, 0.95)), model,
+            int(10 ** draw(st.floats(6, 11))), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(link=_physical_links())
+def test_decoy_bounds_hold_against_ground_truth(link):
+    # the bounds gate soundness only: each holds for the realized count
+    # it bounds, however loose
+    cfg, p_z, model, n_pulses, seed = link
+    tally, truth = photon_resolved_link(n_pulses, cfg, p_z, model,
+                                        np.random.default_rng(seed))
+    targets = SecurityTargets(eps_sf=1e-10, eps_cor=1e-10, eps_target=1e-7,
+                              message_len_bits=8, lambda_ec_bits=0)
+    try:
+        b = link_bounds(tally, cfg, targets)
+    except InsufficientDataError:
+        return
+    assert b.s_z1_l <= truth["z1"]
+    assert b.s_x1_l <= truth["x1"]
+    assert b.v_x1_u >= truth["x1_errors"]
+    assert b.s_z0_l <= truth["z0"] <= b.s_z0_u
+    assert b.phi_z_u >= truth["z1_phase_errors"] / truth["z1"]
 
 
 @st.composite
@@ -353,8 +390,7 @@ def test_signature_rate_identity():
 
 
 def test_zero_detection_tally_raises():
-    cfg = IntensityConfig(mu=0.5, nu=0.1, p_mu=0.7, p_nu=0.3,
-                          p_z=0.9, p_x=0.1)
+    cfg = IntensityConfig(mu=0.5, nu=0.1, p_mu=0.7, p_nu=0.3)
     tally = DetectionTally(n_z_mu=0, m_z_mu=0, n_x_mu=0, m_x_mu=0,
                            n_z_nu=0, m_z_nu=0, n_x_nu=0, m_x_nu=0,
                            n_z_total=0, accumulation_time_s=1.0)

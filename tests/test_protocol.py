@@ -320,3 +320,48 @@ def test_messaging_abort_on_frame_after_role_is_done(monkeypatch):
     assert outcome.status == "abort"
     assert outcome.error == ("alice: ProtocolError: expected no more "
                              "frames, got DECISION from charlie")
+
+
+def test_messaging_abort_on_announced_position_out_of_range(monkeypatch):
+    # a hostile announcement names a position past the receivers' keys
+    sign_round = protocol.alice_sign
+
+    def out_of_range(store, *args):
+        (ann, bundle), frames = sign_round(store, *args)
+        far = PositionAnnouncement(ann.positions[:-1] + (len(store.key_bits),))
+        return (far, bundle), [(dst, far.encode()) for dst, _ in frames[:2]] \
+            + frames[2:]
+
+    monkeypatch.setattr(protocol, "alice_sign", out_of_range)
+    alice, bob, charlie = synthetic_stores(4000, seed=57)
+    parties, transcripts = connect_parties(alice, bob, charlie)
+    outcome = run_messaging(parties, b"far position", signature_len_bits=64,
+                            position_seed=21, p_seed=22,
+                            transcripts=transcripts)
+    assert outcome.status == "abort"
+    assert outcome.error == ("bob: PositionRangeError: "
+                             "position out of range")
+
+
+def test_messaging_lets_an_unexpected_error_escape(monkeypatch):
+    # only protocol, frame and transport errors abort a round; a fault in
+    # a role's own code surfaces as itself, never as a protocol abort
+    def faulty(*args):
+        raise IndexError("a bug")
+
+    monkeypatch.setattr(protocol, "verify_as_receiver", faulty)
+    alice, bob, charlie = synthetic_stores(4000, seed=58)
+    parties, transcripts = connect_parties(alice, bob, charlie)
+    with pytest.raises(IndexError, match="a bug"):
+        run_messaging(parties, b"faulty role", signature_len_bits=64,
+                      position_seed=23, p_seed=24, transcripts=transcripts)
+
+
+def test_empty_message_spends_no_position():
+    # a caller error: raised before the round spends any of Alice's key
+    alice, bob, charlie = synthetic_stores(4000, seed=59)
+    parties, transcripts = connect_parties(alice, bob, charlie)
+    with pytest.raises(ValueError, match="empty message"):
+        run_messaging(parties, b"", signature_len_bits=64, position_seed=25,
+                      p_seed=26, transcripts=transcripts)
+    assert alice.available == 4000

@@ -7,14 +7,14 @@ from qdsnet.finitekey import IntensityConfig, SecurityTargets
 from qdsnet.runner import (LinkConfig, RunConfig, RunError, outcome_to_json,
                            run_simulation)
 
-_INTENSITY = dict(mu=0.5, nu=0.1, p_mu=0.7, p_nu=0.3, p_z=0.75, p_x=0.25)
+_INTENSITY = dict(mu=0.5, nu=0.1, p_mu=0.7, p_nu=0.3)
 _CHANNEL = dict(loss_db=5.0, detector_efficiency=1.0, dark_count_prob=1e-7,
                 misalignment=0.01, pulse_rate_hz=1e9)
 
 
 def _small_config(**kw):
     link = lambda seed: LinkConfig(intensity=IntensityConfig(**_INTENSITY),
-                                   channel=ChannelModel(**_CHANNEL),
+                                   p_z=0.75, channel=ChannelModel(**_CHANNEL),
                                    n_pulses=20_000_000, seed=seed)
     defaults = dict(link_bob=link(11), link_charlie=link(22),
                     targets=SecurityTargets(eps_sf=1e-10, eps_cor=1e-10,
@@ -73,7 +73,7 @@ def test_empty_message_is_config_error():
 
 
 def test_starved_link_is_simulation_error():
-    starved = LinkConfig(intensity=IntensityConfig(**_INTENSITY),
+    starved = LinkConfig(intensity=IntensityConfig(**_INTENSITY), p_z=0.75,
                          channel=ChannelModel(**{**_CHANNEL,
                                                  "loss_db": 80.0}),
                          n_pulses=100_000, seed=1)
@@ -85,10 +85,10 @@ def test_starved_link_is_simulation_error():
 def test_first_failing_link_names_the_stage():
     # the links run one after the other: Bob's insecure link stops the
     # run before Charlie's starved link is simulated
-    short = LinkConfig(intensity=IntensityConfig(**_INTENSITY),
+    short = LinkConfig(intensity=IntensityConfig(**_INTENSITY), p_z=0.75,
                        channel=ChannelModel(**_CHANNEL),
                        n_pulses=200_000, seed=3)
-    starved = LinkConfig(intensity=IntensityConfig(**_INTENSITY),
+    starved = LinkConfig(intensity=IntensityConfig(**_INTENSITY), p_z=0.75,
                          channel=ChannelModel(**{**_CHANNEL,
                                                  "loss_db": 80.0}),
                          n_pulses=100_000, seed=1)
