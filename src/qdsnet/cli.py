@@ -110,8 +110,7 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     with reading("invalid run config"), open(args.config) as fh:
         config = RunConfig.from_dict(json.load(fh))
-    path = args.message or config.message_path
-    with reading("cannot read message"), open(path, "rb") as fh:
+    with reading("cannot read message"), open(args.message, "rb") as fh:
         message = fh.read()
     outcome = run_simulation(config, message)
 
@@ -119,12 +118,6 @@ def cmd_simulate(args) -> int:
     out_path = os.path.join(args.out_dir, "outcome.json")
     with open(out_path, "w") as fh:
         fh.write(outcome_to_json(outcome))
-    for name in ("bob", "charlie"):
-        rep_path = os.path.join(args.out_dir, f"report_{name}.json")
-        with open(rep_path, "w") as fh:
-            json.dump(outcome["links"][name]["report"], fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
 
     d = outcome["decisions"]
     print(f"decisions: bob={d['bob']} charlie={d['charlie']}")
@@ -132,9 +125,7 @@ def cmd_simulate(args) -> int:
           f"eps = {outcome['eps']:.3e}, "
           f"rate = {outcome['signature_rate_tps']:.4g} tps")
     print(f"outcome written to {out_path}")
-    if d["bob"] == "accept" and d["charlie"] in ("accept", "skipped"):
-        return EXIT_OK
-    return EXIT_REJECT
+    return EXIT_OK if d["bob"] == d["charlie"] == "accept" else EXIT_REJECT
 
 
 def cmd_reproduce_table(args) -> int:
@@ -218,7 +209,7 @@ def cmd_verify(args) -> int:
 
     with reading("cannot load peer share"):
         peer = files.read_message(args.peer_share, KeyShare)
-    decision = verify_as_receiver(bundle, own, peer)
+    decision = verify_as_receiver(bundle, own, peer, ann.message_len)
     print(f"{decision.decision}: {decision.reason}")
     return EXIT_OK if decision.accept else EXIT_REJECT
 
@@ -243,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="full signing run from a config")
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--out-dir", default=".", help="output directory")
-    p.add_argument("--message", help="override the config's message path")
+    p.add_argument("--message", required=True, help="document to sign")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reproduce-table",

@@ -3,10 +3,13 @@
 The digest of a message M under an L-bit seed P is the remainder of
 M(x) * x^(L/8) modulo p(x), where M's bytes are the coefficients of a
 polynomial over GF(256) and p is a monic irreducible polynomial of
-degree L/8 derived deterministically from P.  Two distinct messages
-collide only when p divides their difference times x^(L/8), so for a
-random seed the collision probability falls like the message length
-divided by the count of degree-L/8 irreducibles.
+degree L/8 derived deterministically from P.  Leading zero bytes leave
+M(x) unchanged, so M and 0x00 || M collide under every seed, and the
+digest binds a message only together with its length, which the
+signer announces.  Two distinct messages of one length collide only
+when p divides their difference times x^(L/8), so for a random seed the
+collision probability falls like the message length divided by the
+count of degree-L/8 irreducibles.
 
 Seeds are consumed once per signature: the signer transmits P masked by
 a one-time key, and both receiving ends re-derive the same p, so

@@ -65,6 +65,15 @@ def require_object(name: str, value) -> dict:
     return value
 
 
+def require_known(name: str, value, known) -> dict:
+    """require_object, then raise ValueError naming every key of value
+    that is not in known; returns value."""
+    unknown = sorted(set(require_object(name, value)) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {name} key(s): {', '.join(unknown)}")
+    return value
+
+
 def require_count(name: str, value) -> int:
     """require_real on a nonnegative integer; returns it."""
     if not isinstance(value, numbers.Integral) or value < 0:

@@ -182,9 +182,11 @@ ROLE_NAMES = {v: k for k, v in ROLE_CODES.items()}
 
 @dataclass(frozen=True)
 class PositionAnnouncement:
-    """Ordered 2L key positions; the first half indexes the X-keys."""
+    """Ordered 2L key positions, the first half indexing the X-keys, and
+    the byte length of the message they sign."""
 
     positions: tuple
+    message_len: int
 
     def __post_init__(self):
         if len(self.positions) % 2:
@@ -197,17 +199,17 @@ class PositionAnnouncement:
         return len(self.positions) // 2
 
     def encode(self) -> Frame:
-        payload = struct.pack(">I", len(self.positions)) + \
-            np.asarray(self.positions, dtype=">u4").tobytes()
+        payload = struct.pack(">II", len(self.positions), self.message_len) \
+            + np.asarray(self.positions, dtype=">u4").tobytes()
         return Frame(MsgType.POSITION_ANNOUNCEMENT, payload)
 
     @classmethod
     def decode(cls, payload: bytes) -> "PositionAnnouncement":
-        (count,) = struct.unpack_from(">I", payload, 0)
-        if len(payload) != 4 + 4 * count:
+        count, message_len = struct.unpack_from(">II", payload, 0)
+        if len(payload) != 8 + 4 * count:
             raise FrameError("position list length does not match count")
-        arr = np.frombuffer(payload, dtype=">u4", offset=4)
-        return cls(positions=tuple(int(p) for p in arr))
+        arr = np.frombuffer(payload, dtype=">u4", offset=8)
+        return cls(tuple(int(p) for p in arr), message_len)
 
 
 @dataclass(frozen=True, eq=False)

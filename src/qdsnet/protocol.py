@@ -6,13 +6,14 @@ K_a = K_b xor K_c, so either receiver alone knows nothing about Alice's
 key but the two together can reconstruct any part of it.
 
 Messaging consumes 2L fresh key bits per signature.  Alice announces
-the positions, splits her bits into an X half (masks the digest) and a
-Y half (masks the one-time hash seed), and sends {Sig, M, P_a} to Bob.
-Bob forwards the bundle plus his own key share to Charlie before he
-verifies anything, Charlie returns his share to Bob, and both check
-that unmasking the signature with the recombined X key reproduces the
-digest of the message under the recombined seed.  Bob rejecting
-short-circuits Charlie's check.  The four messages of a round
+the positions and the message's byte length to both receivers, splits
+her bits into an X half (masks the digest) and a Y half (masks the
+one-time hash seed), and sends {Sig, M, P_a} to Bob.  Bob forwards the
+bundle plus his own key share to Charlie before he verifies anything,
+Charlie returns his share to Bob, and both check that the message has
+the announced length and that unmasking the signature with the
+recombined X key reproduces its digest under the recombined seed.  Bob
+rejecting short-circuits Charlie's check.  The four messages of a round
 (PositionAnnouncement, SignatureBundle, KeyShare, VerifyDecision) are
 framing's dataclasses, each its own wire codec, and are re-exported
 here; a parsed frame is the message itself.
@@ -116,9 +117,10 @@ def run_distribution(link_b, link_c) -> tuple[KeyStore, KeyStore, KeyStore]:
     return alice, bob, charlie
 
 
-def select_positions(store: KeyStore, signature_len_bits: int,
-                     seed) -> PositionAnnouncement:
-    """Sample 2L unused positions from Alice's store and consume them."""
+def select_positions(store: KeyStore, signature_len_bits: int, seed,
+                     message_len: int) -> PositionAnnouncement:
+    """Sample 2L unused positions from Alice's store and consume them;
+    the announcement binds them to a message of message_len bytes."""
     L = signature_len_bits
     if L % 8 or L < 8:
         raise ValueError("signature length must be a multiple of 8 bits")
@@ -129,7 +131,7 @@ def select_positions(store: KeyStore, signature_len_bits: int,
     rng = np.random.default_rng(seed)
     picked = rng.choice(free, size=2 * L, replace=False)
     store.consume(picked)
-    return PositionAnnouncement(tuple(int(p) for p in picked))
+    return PositionAnnouncement(tuple(int(p) for p in picked), message_len)
 
 
 def extract_share(store: KeyStore, announcement: PositionAnnouncement
@@ -157,8 +159,9 @@ def sign(message: bytes, x_a, y_a, p_seed) -> SignatureBundle:
 
 
 def verify_as_receiver(bundle: SignatureBundle, own: KeyShare,
-                       peer: KeyShare) -> VerifyDecision:
-    """Recombine shares, unmask, and compare digests."""
+                       peer: KeyShare, message_len: int) -> VerifyDecision:
+    """Recombine shares, unmask, and compare digests of a message of the
+    announced message_len bytes."""
     L = bundle.signature_len_bits
     if L == 0:
         return VerifyDecision(False, "malformed-bundle: empty signature")
@@ -167,6 +170,10 @@ def verify_as_receiver(bundle: SignatureBundle, own: KeyShare,
         return VerifyDecision(False, "malformed-bundle: share length mismatch")
     if not bundle.message:
         return VerifyDecision(False, "malformed-bundle: empty message")
+    # zero bytes in front leave the digest unchanged: the length binds M
+    if len(bundle.message) != message_len:
+        return VerifyDecision(False, "malformed-bundle: message length "
+                              "differs from the announced one")
     k_x = own.x_key ^ peer.x_key
     k_y = own.y_key ^ peer.y_key
     expected = bundle.sig ^ k_x
@@ -240,7 +247,7 @@ def alice_sign(store: KeyStore, message: bytes, L: int, position_seed,
     Takes no frames; returns ((announcement, bundle), the pairs to send)."""
     if not message:     # before any key position is spent
         raise ValueError("cannot sign an empty message")
-    ann = select_positions(store, L, position_seed)
+    ann = select_positions(store, L, position_seed, len(message))
     bits = store.key_bits[list(ann.positions)]
     bundle = sign(message, bits[:L], bits[L:], p_seed)
     announce = ann.encode()
@@ -263,7 +270,7 @@ def bob_script(store: KeyStore, tamper):
     if tamper is not None:
         decision = VerifyDecision(True, "malicious: forwarded unchecked")
     else:
-        decision = verify_as_receiver(bundle, share, peer)
+        decision = verify_as_receiver(bundle, share, peer, ann.message_len)
     return decision, [(ROLE_CHARLIE, decision.encode())]
 
 
@@ -277,7 +284,7 @@ def charlie_script(store: KeyStore):
         (ROLE_BOB, share.encode())])
     if not bob_said.accept:
         return ("skipped", "first receiver rejected; check skipped"), []
-    decision = verify_as_receiver(bundle, share, peer)
+    decision = verify_as_receiver(bundle, share, peer, ann.message_len)
     return (decision.decision, decision.reason), []
 
 

@@ -2,9 +2,9 @@
 
 A run config names two quantum links (Bob's and Charlie's, each with
 source intensities, a basis prior, a channel model, a pulse budget and
-a seed), the security targets, and the path of the document to sign.
-The runner reads no file: the caller loads the config and passes the
-document's bytes.  run_simulation takes each link in turn through
+a seed), the security targets and the protocol seed.  The runner reads
+no file: the caller loads the config and passes the document's bytes.
+run_simulation takes each link in turn through
 
     simulate -> reconcile Alice's copy -> minimal length from the leakage
 
@@ -25,9 +25,9 @@ from .cascade import ReconciliationConfig, reconcile, tag_bit_count
 from .channel import ChannelModel, simulate_kgp
 from .finitekey import (AnalysisError, IntensityConfig, SecurityTargets,
                         min_signature_length, report_at_length,
-                        require_count, require_object, require_real)
-from .protocol import (SignatureBundle, connect_parties, run_distribution,
-                       run_messaging)
+                        require_count, require_known, require_object,
+                        require_real)
+from .protocol import connect_parties, run_distribution, run_messaging
 
 
 class RunError(RuntimeError):
@@ -42,18 +42,6 @@ class RunError(RuntimeError):
 MAX_PULSES = 10 ** 12
 
 
-def _typed(name: str, value, kind: type, what: str):
-    if not isinstance(value, kind):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    return value
-
-
-def _require_known(where: str, d: dict, known: tuple[str, ...]) -> None:
-    unknown = sorted(set(require_object(where, d)) - set(known))
-    if unknown:
-        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
-
-
 @dataclass(frozen=True)
 class LinkConfig:
     intensity: IntensityConfig
@@ -64,14 +52,18 @@ class LinkConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinkConfig":
-        _require_known("link", d, tuple(f.name for f in fields(cls)))
+        require_known("link", d, [f.name for f in fields(cls)])
         intensity = d["intensity"]    # p_nu alone; p_mu is 1 - p_nu
-        _require_known("link intensity", intensity, ("mu", "nu", "p_nu"))
+        require_known("link intensity", intensity, ("mu", "nu", "p_nu"))
         p_nu = require_real("p_nu", intensity["p_nu"])
+        if not 0 < 1 - p_nu < 1:
+            raise ValueError(f"p_nu must be in (0, 1) with 1 - p_nu below 1, "
+                             f"got {p_nu!r}")
         link = cls(intensity=IntensityConfig(**intensity, p_mu=1 - p_nu),
                    p_z=require_real("link p_z", d["p_z"]),
-                   channel=ChannelModel(
-                       **require_object("link channel", d["channel"])),
+                   channel=ChannelModel(**require_known(
+                       "link channel", d["channel"],
+                       [f.name for f in fields(ChannelModel)])),
                    n_pulses=require_count("link n_pulses", d["n_pulses"]),
                    seed=require_count("link seed", d["seed"]))
         if not 0 < link.p_z < 1:
@@ -90,30 +82,23 @@ class RunConfig:
     link_bob: LinkConfig
     link_charlie: LinkConfig
     targets: SecurityTargets
-    message_path: str
     protocol_seed: int
-    tamper: bool = False    # absent means an honest run
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        _require_known("config", d, ("links", "targets", "message_path",
-                                     "tamper", "protocol_seed"))
+        require_known("config", d, ("links", "targets", "protocol_seed"))
         links = require_object("links", d["links"])
         if set(links) != {"bob", "charlie"}:
             raise ValueError("config must define exactly the links "
                              "'bob' and 'charlie'")
         # the run measures the message length and the leakage itself
         targets = d["targets"]
-        _require_known("targets", targets, ("eps_sf", "eps_cor", "eps_target"))
+        require_known("targets", targets, ("eps_sf", "eps_cor", "eps_target"))
         config = cls(link_bob=LinkConfig.from_dict(links["bob"]),
                      link_charlie=LinkConfig.from_dict(links["charlie"]),
                      targets=SecurityTargets(**targets),
-                     message_path=_typed("message_path", d["message_path"],
-                                         str, "a string"),
                      protocol_seed=require_count("protocol_seed",
-                                                 d["protocol_seed"]),
-                     tamper=_typed("tamper", d.get("tamper", False), bool,
-                                   "true or false"))
+                                                 d["protocol_seed"]))
         tag_bit_count(config.targets.eps_cor)   # before any link runs
         return config
 
@@ -121,12 +106,6 @@ class RunConfig:
 def _derived_seed(root: int, *key: int) -> int:
     state = np.random.SeedSequence(root, spawn_key=key).generate_state(2)
     return int(state[0]) << 32 | int(state[1])
-
-
-def _tamper_one_byte(bundle: SignatureBundle) -> SignatureBundle:
-    altered = bytearray(bundle.message)
-    altered[0] ^= 0x01
-    return SignatureBundle(bundle.sig, bytes(altered), bundle.p_a)
 
 
 def run_simulation(config: RunConfig, message: bytes) -> dict:
@@ -184,13 +163,11 @@ def run_simulation(config: RunConfig, message: bytes) -> dict:
         parties, message, signature_len_bits=signature_len,
         position_seed=_derived_seed(config.protocol_seed, 2, 0),
         p_seed=_derived_seed(config.protocol_seed, 2, 1),
-        tamper=_tamper_one_byte if config.tamper else None,
         transcripts=transcripts)
     if outcome.status != "ok":
         raise RunError("protocol", outcome.error)
 
     return {
-        "status": outcome.status,
         "decisions": {"bob": outcome.bob_decision,
                       "charlie": outcome.charlie_decision},
         "reasons": {"bob": outcome.bob_reason,
@@ -200,7 +177,6 @@ def run_simulation(config: RunConfig, message: bytes) -> dict:
         "signature_rate_tps": min(rec["report"].signature_rate_tps
                                   for rec in links.values()),
         "message_len_bits": m_bits,
-        "tampered": config.tamper,
         "links": {name: {
             "n_z": rec["tally"].n_z_total,
             "qber": rec["tally"].e_z,

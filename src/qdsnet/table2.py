@@ -44,7 +44,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from importlib import resources
 
 from .finitekey import (AnalysisError, DetectionTally, IntensityConfig,
-                        SecurityTargets, min_signature_length, require_object,
+                        SecurityTargets, min_signature_length, require_known,
                         signature_rate)
 
 ROW_FILES = (
@@ -80,7 +80,8 @@ def _ceil8(x: float) -> int:
 
 def row_inputs(row: dict) -> tuple[DetectionTally, IntensityConfig,
                                    SecurityTargets]:
-    return tuple(cls(**require_object(key, row[key])) for cls, key in (
+    return tuple(cls(**require_known(key, row[key], [
+        f.name for f in dataclasses.fields(cls)])) for cls, key in (
         (DetectionTally, "tally"), (IntensityConfig, "intensity"),
         (SecurityTargets, "targets")))
 

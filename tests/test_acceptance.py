@@ -155,7 +155,7 @@ def test_criterion_3b_random_key_forgeries(capsys):
     (ann, bundle), _ = alice_sign(alice, message, L, 1, 2)
     share_b = extract_share(bob, ann)
     share_c = extract_share(charlie, ann)
-    assert verify_as_receiver(bundle, share_c, share_b).accept
+    assert verify_as_receiver(bundle, share_c, share_b, ann.message_len).accept
 
     forged_message = b"the forged document, 32 bytes..."
     rng = np.random.default_rng(88)
@@ -165,7 +165,8 @@ def test_criterion_3b_random_key_forgeries(capsys):
         guess_sig = rng.integers(0, 2, L, dtype=np.uint8)
         forged = SignatureBundle(sig=guess_sig, message=forged_message,
                                  p_a=bundle.p_a)
-        if verify_as_receiver(forged, share_c, share_b).accept:
+        if verify_as_receiver(forged, share_c, share_b,
+                              ann.message_len).accept:
             accepts += 1
 
     ok = accepts == 0
@@ -175,6 +176,7 @@ def test_criterion_3b_random_key_forgeries(capsys):
 
 def test_criterion_3c_exhaustive_byte_perturbation(capsys):
     from qdsnet.divhash import derive_modulus, hash_document
+    from qdsnet.framing import pack_bits
     from qdsnet.protocol import (SignatureBundle, alice_sign, extract_share,
                                  verify_as_receiver)
 
@@ -218,20 +220,42 @@ def test_criterion_3c_exhaustive_byte_perturbation(capsys):
     fraction = collisions / total
 
     # decision rule end to end at L=16: accept exactly on digest match
+    # at the announced length
     alice, bob, charlie = synthetic_stores(1000, seed=111)
-    (ann, bundle), _ = alice_sign(alice, message.tobytes(), L, 3, 4)
-    share_b = extract_share(bob, ann)
-    share_c = extract_share(charlie, ann)
     rule_ok = True
-    for j in (0, 17, 63):
-        mutated = message.copy()
-        mutated[j] ^= 0x5A
-        forged = SignatureBundle(sig=bundle.sig,
-                                 message=mutated.tobytes(), p_a=bundle.p_a)
-        if verify_as_receiver(forged, share_c, share_b).accept:
+    length_forgeries = 0
+    digest_changed = 0
+    # the second document starts with zero bytes, so removing them is a
+    # length-changing perturbation too
+    zero_led = np.concatenate([np.zeros(3, np.uint8), message[3:]])
+    for signed, round_seeds in ((message, (3, 4)), (zero_led, (5, 6))):
+        (ann, bundle), _ = alice_sign(alice, signed.tobytes(), L,
+                                      *round_seeds)
+        share_b = extract_share(bob, ann)
+        share_c = extract_share(charlie, ann)
+        mutations = []
+        for j in (0, 17, 63):
+            mutated = signed.copy()
+            mutated[j] ^= 0x5A
+            mutations.append(mutated.tobytes())
+        # leading zero bytes added or removed leave the digest unchanged
+        changed = [bytes(k) + signed.tobytes() for k in (1, 5)]
+        if signed is zero_led:
+            changed += [signed[k:].tobytes() for k in (1, 3)]
+        p_seed = pack_bits(bundle.p_a ^ share_b.y_key ^ share_c.y_key)
+        digest = hash_document(signed.tobytes(), p_seed)
+        digest_changed += sum(hash_document(forged_message, p_seed) != digest
+                              for forged_message in changed)
+        length_forgeries += len(changed)
+        for forged_message in mutations + changed:
+            forged = SignatureBundle(sig=bundle.sig, message=forged_message,
+                                     p_a=bundle.p_a)
+            if verify_as_receiver(forged, share_c, share_b,
+                                  ann.message_len).accept:
+                rule_ok = False
+        if not verify_as_receiver(bundle, share_c, share_b,
+                                  ann.message_len).accept:
             rule_ok = False
-    if not verify_as_receiver(bundle, share_c, share_b).accept:
-        rule_ok = False
 
     problems = []
     if fraction > bound:
@@ -242,11 +266,15 @@ def test_criterion_3c_exhaustive_byte_perturbation(capsys):
                         "the collision counter is not trustworthy")
     if not rule_ok:
         problems.append("verify decision disagrees with digest equality")
+    if digest_changed:
+        problems.append(f"{digest_changed} zero-prefix perturbations changed "
+                        "the digest, so they do not test the length rule")
 
     ok = not problems
     _announce(capsys, 3, "adversarial: exhaustive byte perturbation", ok,
               f"{collisions}/{total} collisions (bound {bound:.2e}), "
-              f"planted control {planted_hits}/{seeds} detected"
+              f"planted control {planted_hits}/{seeds} detected, "
+              f"{length_forgeries} zero-prefix length changes rejected"
               if ok else "; ".join(problems))
 
 

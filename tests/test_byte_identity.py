@@ -1,13 +1,14 @@
 """Pinned digests of deterministic outputs.
 
-The outcome digests and the 30 kbit transcript were recorded before the
-parties became synchronous frame handlers; the extra-pass transcript
-and the verification tags before reconciliation moved to arrays; the
-document digests while the hash still ran one byte per step; the
-table digest while the analysis still took a choice of log base and
-vacuum-bound intensity.  Restructuring the roles, the codecs, the
-transports, the hash or the analysis must leave every one of them
-unchanged.
+The outcome digests were recorded when the position announcement began
+to carry the message length and the outcome lost its constant status
+and tampered keys; the 30 kbit transcript before the parties became
+synchronous frame handlers; the extra-pass transcript and the
+verification tags before reconciliation moved to arrays; the document
+digests while the hash still ran one byte per step; the table digest
+while the analysis still took a choice of log base and vacuum-bound
+intensity.  Restructuring the roles, the codecs, the transports, the
+hash or the analysis must leave every one of them unchanged.
 """
 
 import hashlib
@@ -22,7 +23,7 @@ from qdsnet.framing import TagExchange, parse_payload
 from qdsnet.runner import outcome_to_json, run_simulation
 from qdsnet.table2 import load_rows, reproduce_table, row_inputs
 
-from test_runner import MESSAGE, _small_config
+from test_runner import MESSAGE, _small_config, forging_bob
 
 
 def _sha256(text: str) -> str:
@@ -32,13 +33,14 @@ def _sha256(text: str) -> str:
 def test_outcome_digest_honest():
     out = run_simulation(_small_config(), message=MESSAGE)
     assert _sha256(outcome_to_json(out)) == (
-        "90bdee832c84f93011475082bfde12587e90c3f9fdb1d69bebc63d241bd534bf")
+        "e51750df62cc1e148a81cc2d6c0b3df9d4ad80e2807fa6103431ab8492200bac")
 
 
-def test_outcome_digest_tampered():
-    out = run_simulation(_small_config(tamper=True), message=MESSAGE)
+def test_outcome_digest_tampered(monkeypatch):
+    forging_bob(monkeypatch)
+    out = run_simulation(_small_config(), message=MESSAGE)
     assert _sha256(outcome_to_json(out)) == (
-        "7c4b670e43ed7ae9e7bafefb3aa0cafbc008a7ff46c5d64597662a304cf556cf")
+        "b4ac9aec5132f640b7da436639fdd9e74c4c7fc344e4283d435552482a3f9bf6")
 
 
 def _reconcile_digest(n, n_err, seed, cfg):

@@ -184,6 +184,28 @@ def test_tampered_bundle_rejected(workdir):
                  "--peer-share", "bob.share"]) == EXIT_REJECT
 
 
+def test_zero_prefixed_bundle_rejected(workdir, capsys):
+    # zero bytes in front of the document leave its digest unchanged;
+    # the announced length is what makes Charlie reject
+    main(["keygen-sim", "--bits", "4096", "--seed", "7", "--out-dir", "k"])
+    (workdir / "doc.bin").write_bytes(np.random.default_rng(1).bytes(2000))
+    main(["sign", "--message", "doc.bin", "--store", "k/alice.store",
+          "--length", "128", "--out", "bundle.bin", "--announce", "ann.bin"])
+    b = read_message("bundle.bin", SignatureBundle)
+    write_message(SignatureBundle(b.sig, bytes(3) + b.message, b.p_a),
+                  "prefixed.bin")
+    bob_store = (workdir / "k/bob.store").read_bytes()
+    assert main(["verify", "--bundle", "prefixed.bin", "--announce",
+                 "ann.bin", "--store", "k/bob.store",
+                 "--share-out", "bob.share"]) == EXIT_OK
+    assert (workdir / "k/bob.store").read_bytes() != bob_store
+    capsys.readouterr()
+    assert main(["verify", "--bundle", "prefixed.bin", "--announce",
+                 "ann.bin", "--store", "k/charlie.store",
+                 "--peer-share", "bob.share"]) == EXIT_REJECT
+    assert capsys.readouterr().out.startswith("reject: malformed-bundle: ")
+
+
 def test_store_consumption_blocks_reuse(workdir):
     main(["keygen-sim", "--bits", "1024", "--seed", "7", "--out-dir", "k"])
     (workdir / "doc.bin").write_bytes(b"single use")
@@ -219,11 +241,10 @@ def _keys_and_doc(workdir):
 
 
 def _small_run_files(workdir):
-    """A 2e7-pulse-per-link run config naming doc.bin, and doc.bin."""
+    """A 2e7-pulse-per-link run config, and a document doc.bin."""
     cfg = json.loads((pkg_files("qdsnet.data") / "demo_10db.json").read_text())
     for link in cfg["links"].values():
         link["n_pulses"] = 20_000_000
-    cfg["message_path"] = "doc.bin"
     (workdir / "cfg.json").write_text(json.dumps(cfg))
     (workdir / "doc.bin").write_bytes(np.random.default_rng(3).bytes(2000))
     return RunConfig.from_dict(cfg)
@@ -248,7 +269,7 @@ def test_verify_zero_length_bundle_is_rejected(workdir, capsys):
     _keys_and_doc(workdir)
     empty = np.zeros(0, dtype=np.uint8)
     write_message(SignatureBundle(empty, b"doc", empty), "b.bin")
-    write_message(PositionAnnouncement(()), "a.bin")
+    write_message(PositionAnnouncement((), 3), "a.bin")
     assert main(VERIFY) == EXIT_OK
     assert main(["verify", "--bundle", "b.bin", "--announce", "a.bin",
                  "--store", "k/charlie.store",
@@ -289,7 +310,8 @@ def test_failed_store_write_releases_nothing(workdir, monkeypatch, argv,
     ["reproduce-table", "--json", "notadir/t.json"],
     [f"notadir/{a}" if a == "b.bin" else a for a in SIGN],
     [f"notadir/{a}" if a == "s.bin" else a for a in VERIFY],
-    ["simulate", "--config", "cfg.json", "--out-dir", "notadir"]],
+    ["simulate", "--config", "cfg.json", "--message", "doc.bin",
+     "--out-dir", "notadir"]],
     ids=["analyze", "keygen-sim", "reproduce-table", "sign", "verify",
          "simulate"])
 def test_unwritable_output_path_is_input_error(workdir, capsys, argv):
@@ -319,7 +341,7 @@ def test_concurrent_sign_waits_for_the_store_lock(workdir):
                                 env=_SRC_ENV, stdout=subprocess.DEVNULL)
         time.sleep(0.5)
         waited = proc.poll() is None
-        first = select_positions(store, 64, 3).positions
+        first = select_positions(store, 64, 3, 30).positions
         write_store(store, "k/alice.store")
     try:
         rc = proc.wait(timeout=60)
@@ -411,24 +433,26 @@ def test_reproduce_table_runs(workdir, capsys):
     assert len(parsed["rows"]) == 8
 
 
-def test_simulate_signs_the_config_document(workdir, capsys):
+def test_simulate_signs_the_named_document(workdir, capsys):
     config = _small_run_files(workdir)
     doc = (workdir / "doc.bin").read_bytes()
     # the outcome records the document's length, not its bytes
     (workdir / "other.bin").write_bytes(doc[1:])
     outcomes = []
-    for extra, message in (([], doc), (["--message", "other.bin"], doc[1:])):
-        assert main(["simulate", "--config", "cfg.json", "--out-dir", "out",
-                     *extra]) == EXIT_OK
+    for name, message in (("doc.bin", doc), ("other.bin", doc[1:])):
+        assert main(["simulate", "--config", "cfg.json", "--message", name,
+                     "--out-dir", "out"]) == EXIT_OK
+        assert os.listdir("out") == ["outcome.json"]
         outcomes.append((workdir / "out" / "outcome.json").read_text())
         assert outcomes[-1] == outcome_to_json(run_simulation(config, message))
     assert outcomes[0] != outcomes[1]
-    # an unreadable document, from the config or from --message
-    os.remove("doc.bin")
-    for extra in ([], ["--message", "missing.bin"]):
-        assert main(["simulate", "--config", "cfg.json", "--out-dir", "out2",
-                     *extra]) == EXIT_PARSE
-        assert "error: cannot read message" in capsys.readouterr().err
+    # the config names no document, so --message is required
+    with pytest.raises(SystemExit) as usage:
+        main(["simulate", "--config", "cfg.json", "--out-dir", "out2"])
+    assert usage.value.code == 2
+    assert main(["simulate", "--config", "cfg.json", "--message",
+                 "missing.bin", "--out-dir", "out2"]) == EXIT_PARSE
+    assert "error: cannot read message" in capsys.readouterr().err
     assert not (workdir / "out2").exists()
 
 
@@ -438,26 +462,20 @@ def test_simulate_bad_config(workdir, capsys):
     # negative seeds and pulse budgets fail when the config is read
     negative = (("links", "bob", "seed"), ("links", "charlie", "n_pulses"),
                 ("protocol_seed",))
-    # so do a non-integer count or seed and a non-boolean tamper flag,
-    # which the reader once coerced
+    # so does a non-integer count or seed, which the reader once coerced
     mistyped = [(("links", "bob", "n_pulses"), 25000000.7),
                 (("links", "charlie", "n_pulses"), "1000"),
                 (("links", "bob", "seed"), 1.0),
                 (("links", "charlie", "seed"), True),
                 (("protocol_seed",), 2024.5),
                 (("protocol_seed",), None),
-                (("tamper",), "false"),
-                (("tamper",), 0),
                 # non-finite physics once crashed or wrote NaN into JSON
                 (("links", "bob", "channel", "loss_db"), float("nan")),
                 (("links", "charlie", "channel", "pulse_rate_hz"),
                  float("nan")),
                 # true was once read as the number 1
                 (("links", "bob", "channel", "loss_db"), True),
-                (("links", "charlie", "intensity", "mu"), True),
-                # a non-string path was once opened as a file descriptor
-                (("message_path",), 0),
-                (("message_path",), True)]
+                (("links", "charlie", "intensity", "mu"), True)]
     for (*path, key), value in [(p, -1) for p in negative] + mistyped:
         cfg = copy.deepcopy(demo)
         section = cfg
@@ -467,14 +485,17 @@ def test_simulate_bad_config(workdir, capsys):
         cases.append((json.dumps(cfg), key))
     for text, key in cases:
         (workdir / "cfg.json").write_text(text)
-        assert main(["simulate", "--config", "cfg.json",
-                     "--out-dir", "out"]) == EXIT_PARSE
+        assert main(["simulate", "--config", "cfg.json", "--message",
+                     "doc.bin", "--out-dir", "out"]) == EXIT_PARSE
         assert key in capsys.readouterr().err
 
 
+# tamper and message_path were config keys once: a forging Bob now lives
+# in the tests, and --message names the document
 @pytest.mark.parametrize("dotted", [
-    "transport", "ec_passes", "protocl_seed", "links.bob.ec_passes",
-    "links.charlie.channel.receiver_loss_db", "targets.lambda_ec_bits"])
+    "transport", "ec_passes", "protocl_seed", "tamper", "message_path",
+    "links.bob.ec_passes", "links.charlie.channel.receiver_loss_db",
+    "targets.lambda_ec_bits"])
 def test_simulate_rejects_unknown_key(workdir, capsys, dotted):
     *path, key = dotted.split(".")
     cfg = json.loads((pkg_files("qdsnet.data") / "demo_10db.json").read_text())
@@ -483,14 +504,14 @@ def test_simulate_rejects_unknown_key(workdir, capsys, dotted):
         section = section[name]
     section[key] = 0
     (workdir / "cfg.json").write_text(json.dumps(cfg))
-    assert main(["simulate", "--config", "cfg.json",
+    assert main(["simulate", "--config", "cfg.json", "--message", "doc.bin",
                  "--out-dir", "out"]) == EXIT_PARSE
-    assert key in capsys.readouterr().err
+    assert f"key(s): {key}" in capsys.readouterr().err
     assert not (workdir / "out").exists()
 
 
 def test_simulate_missing_config(workdir):
-    assert main(["simulate", "--config", "nope.json",
+    assert main(["simulate", "--config", "nope.json", "--message", "doc.bin",
                  "--out-dir", "out"]) == EXIT_PARSE
 
 

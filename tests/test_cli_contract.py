@@ -97,7 +97,16 @@ def _expect(outcome, expected):
 
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
-    return tmp_path_factory.mktemp("contract")
+    path = tmp_path_factory.mktemp("contract")
+    (path / "doc.bin").write_bytes(b"a document to sign")
+    return path
+
+
+def _simulate(scratch, config):
+    (scratch / "cfg.json").write_text(json.dumps(config))
+    return _run(["simulate", "--config", str(scratch / "cfg.json"),
+                 "--message", str(scratch / "doc.bin"),
+                 "--out-dir", str(scratch / "out")])
 
 
 NAN_ROW = [(("intensity", "p_nu"), 1e-310), (("intensity", "p_mu"), 0.999),
@@ -137,6 +146,13 @@ NAN_ROW = [(("intensity", "p_nu"), 1e-310), (("intensity", "p_mu"), 0.999),
 # n_Z / t overflowed, so the rate was inf and the report invalid JSON
 @example(edits=[(("tally", "accumulation_time_s"), 5e-324)],
          expected=(6, "insufficient data: accumulation_time_s"))
+# an unknown key once exited with Python's keyword-binding text
+@example(edits=[(("intensity", "p_z"), 0.9)],
+         expected=(3, "unknown intensity key(s): p_z"))
+@example(edits=[(("tally", "unknown_key"), 0)],
+         expected=(3, "unknown tally key(s): unknown_key"))
+@example(edits=[(("targets", "unknown_key"), None)],
+         expected=(3, "unknown targets key(s): unknown_key"))
 def test_analyze_contract(scratch, edits, expected):
     path = scratch / "row.json"
     path.write_text(json.dumps(_edited(ROW, edits)))
@@ -182,13 +198,14 @@ def test_analyze_arbitrary_bytes(scratch, data):
 @example(edits=[(("links", "charlie", "channel", "dark_count_prob"), 0.6),
                 (("links", "charlie", "p_z"), 0.99)],
          expected=(3, "dark_count_prob"))
+# an unknown channel key once exited with Python's keyword-binding text
+@example(edits=[(("links", "bob", "channel", "unknown_key"), 0)],
+         expected=(3, "unknown link channel key(s): unknown_key"))
+# 1 - p_nu rounded to 1.0, and the error named p_mu, which no config holds
+@example(edits=[(("links", "bob", "intensity", "p_nu"), 1e-17)],
+         expected=(3, "error: invalid run config: p_nu must be in (0, 1)"))
 def test_simulate_contract(scratch, edits, expected):
-    doc = scratch / "doc.bin"
-    doc.write_bytes(b"a document to sign")
-    config = _edited({**DEMO, "message_path": str(doc)}, edits)
-    (scratch / "cfg.json").write_text(json.dumps(config))
-    _expect(_run(["simulate", "--config", str(scratch / "cfg.json"),
-                  "--out-dir", str(scratch / "out")]), expected)
+    _expect(_simulate(scratch, _edited(DEMO, edits)), expected)
 
 
 def test_pulse_budget_ceiling():
@@ -205,14 +222,11 @@ def test_pulse_budget_ceiling():
     path for path in _paths(DEMO) if path[-1] != "unknown_key"],
     ids=".".join)
 def test_run_config_requires_every_key(scratch, key_path):
-    # only tamper may be absent, and the demo leaves it out
     config = _edited(DEMO, [(key_path, DELETE)])
     with pytest.raises((ValueError, TypeError, KeyError),
                        match=key_path[-1]):
         RunConfig.from_dict(config)
-    (scratch / "cfg.json").write_text(json.dumps(config))
-    code, err = _run(["simulate", "--config", str(scratch / "cfg.json"),
-                      "--out-dir", str(scratch / "out")])
+    code, err = _simulate(scratch, config)
     assert code == 3 and key_path[-1] in err
 
 
@@ -240,8 +254,8 @@ def test_malformed_section_is_named(scratch, command, doc, fragment):
     path = scratch / "section.json"
     path.write_text(json.dumps(doc))
     argv = (["analyze", str(path)] if command == "analyze" else
-            ["simulate", "--config", str(path),
-             "--out-dir", str(scratch / "out")])
+            ["simulate", "--config", str(path), "--message",
+             str(scratch / "doc.bin"), "--out-dir", str(scratch / "out")])
     code, err = _run(argv)
     assert code == 3 and err.startswith("error: ") and fragment in err, err
 

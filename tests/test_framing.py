@@ -81,10 +81,11 @@ bit_lists = st.integers(0, 64).flatmap(
 
 
 @given(positions=st.lists(st.integers(0, 2**32 - 1), min_size=0,
-                          max_size=120, unique=True))
-def test_position_list_roundtrip(positions):
+                          max_size=120, unique=True),
+       message_len=st.integers(0, 2**32 - 1))
+def test_position_list_roundtrip(positions, message_len):
     even = positions[:len(positions) - len(positions) % 2]
-    msg = PositionAnnouncement(positions=tuple(even))
+    msg = PositionAnnouncement(positions=tuple(even), message_len=message_len)
     assert parse_payload(msg.encode()) == msg
 
 
@@ -120,8 +121,8 @@ def test_decision_codes_are_accept_and_reject_only():
 
 def test_announcement_rules_hold_on_the_wire():
     for positions in ((1, 2, 3), (4, 4)):
-        count = len(positions).to_bytes(4, "big")
-        payload = count + b"".join(p.to_bytes(4, "big") for p in positions)
+        header = len(positions).to_bytes(4, "big") + (9).to_bytes(4, "big")
+        payload = header + b"".join(p.to_bytes(4, "big") for p in positions)
         with pytest.raises(FrameError):
             parse_payload(Frame(MsgType.POSITION_ANNOUNCEMENT, payload))
 
@@ -131,7 +132,7 @@ def test_parse_payload_dispatch_covers_every_type():
         ParityRequest(items=((0, 1, 2, 3),)),
         ParityAnswer(bits=(1, 0, 1)),
         TagExchange(n_bits=8, tag=b"\xab"),
-        PositionAnnouncement(positions=(5, 6)),
+        PositionAnnouncement(positions=(5, 6), message_len=1),
         SignatureBundle(sig=[1] * 8, message=b"m", p_a=[0, 1] * 4),
         KeyShare(x_key=[0, 1] * 4, y_key=[1] * 8, role="bob"),
         VerifyDecision(accept=True, reason=""),
@@ -144,11 +145,12 @@ def test_parse_payload_dispatch_covers_every_type():
 
 
 # frames recorded from the separate wire classes that the signing
-# messages replaced; the byte layouts must not move
+# messages replaced, the announcement's since it carries the message
+# length; the byte layouts must not move
 @pytest.mark.parametrize("msg, wire", [
-    (PositionAnnouncement((7, 0, 300, 65536, 4294967295, 12)),
-     "51445331040000001c0000000600000007000000000000012c00010000ffffffff"
-     "0000000c"),
+    (PositionAnnouncement((7, 0, 300, 65536, 4294967295, 12), 3),
+     "5144533104000000200000000600000003000000070000000000"
+     "00012c00010000ffffffff0000000c"),
     (SignatureBundle([1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1],
                      b"doc",
                      [0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 0]),
@@ -231,14 +233,26 @@ def test_empty_payload_is_a_frame_error(msg_type):
 
 
 def test_short_position_list_is_a_frame_error():
-    frame = PositionAnnouncement(positions=(1, 2, 3, 4)).encode()
+    frame = PositionAnnouncement(positions=(1, 2, 3, 4), message_len=9).encode()
     with pytest.raises(FrameError):
         parse_payload(Frame(frame.msg_type, frame.payload[:-1]))
 
 
+def test_announcement_decoder_rejects_truncation_and_a_wrong_count():
+    payload = PositionAnnouncement((1, 2, 3, 4), 9).encode().payload
+    # every cut, the header's included: never a struct.error
+    for cut in range(len(payload)):
+        with pytest.raises(FrameError):
+            parse_payload(Frame(MsgType.POSITION_ANNOUNCEMENT, payload[:cut]))
+    for count in (0, 2, 6, 2**32 - 1):
+        wrong = count.to_bytes(4, "big") + payload[4:]
+        with pytest.raises(FrameError, match="does not match count"):
+            parse_payload(Frame(MsgType.POSITION_ANNOUNCEMENT, wrong))
+
+
 @pytest.mark.parametrize("msg", [
     ParityRequest(items=((0, 1, 2, 3),)),
-    PositionAnnouncement(positions=(5, 6)),
+    PositionAnnouncement(positions=(5, 6), message_len=1),
     VerifyDecision(accept=False, reason="no"),
     SignatureBundle(sig=[1] * 8, message=b"m", p_a=[0, 1] * 4),
     KeyShare(x_key=[0, 1] * 4, y_key=[1] * 8, role="bob"),

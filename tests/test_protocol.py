@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qdsnet import protocol
 from qdsnet.cascade import ReconciliationResult
+from qdsnet.framing import Frame, parse_payload
 from qdsnet.protocol import (DistributionError, KeyExhaustedError, KeyReuseError,
                              KeyStore, PositionAnnouncement, SignatureBundle,
                              VerifyDecision, alice_sign, connect_parties,
@@ -62,38 +65,40 @@ def test_distribution_requires_verified_links():
 
 def test_select_positions_properties():
     store = KeyStore.from_bits(np.ones(1000, np.uint8), "alice")
-    ann = select_positions(store, 128, seed=5)
+    ann = select_positions(store, 128, seed=5, message_len=40)
     assert len(ann.positions) == 256
+    assert ann.message_len == 40
     assert len(set(ann.positions)) == 256
     assert store.available == 1000 - 256
     # the same seed on a fresh identical store picks the same set
     store2 = KeyStore.from_bits(np.ones(1000, np.uint8), "alice")
-    ann2 = select_positions(store2, 128, seed=5)
+    ann2 = select_positions(store2, 128, seed=5, message_len=40)
     assert ann.positions == ann2.positions
     store3 = KeyStore.from_bits(np.ones(1000, np.uint8), "alice")
-    assert select_positions(store3, 128, seed=6).positions != ann.positions
+    assert select_positions(store3, 128, seed=6,
+                            message_len=40).positions != ann.positions
 
 
 def test_select_positions_validation():
     store = KeyStore.from_bits(np.ones(100, np.uint8), "alice")
     with pytest.raises(ValueError):
-        select_positions(store, 12, seed=0)    # not a multiple of 8
+        select_positions(store, 12, seed=0, message_len=1)  # not 8k bits
     with pytest.raises(KeyExhaustedError):
-        select_positions(store, 64, seed=0)    # needs 128 > 100 bits
+        select_positions(store, 64, seed=0, message_len=1)  # 128 > 100
 
 
 def test_announcement_validation():
     with pytest.raises(ValueError):
-        PositionAnnouncement(positions=(1, 2, 3))      # odd count
+        PositionAnnouncement((1, 2, 3), 1)      # odd count
     with pytest.raises(ValueError):
-        PositionAnnouncement(positions=(1, 1, 2, 2))   # duplicates
-    ann = PositionAnnouncement(positions=tuple(range(16)))
+        PositionAnnouncement((1, 1, 2, 2), 1)   # duplicates
+    ann = PositionAnnouncement(tuple(range(16)), 1)
     assert ann.half == 8
 
 
 def test_extract_share_is_one_time():
     _, bob, _ = synthetic_stores(1000, seed=42)
-    ann = PositionAnnouncement(positions=tuple(range(128)))
+    ann = PositionAnnouncement(tuple(range(128)), 1)
     share = extract_share(bob, ann)
     assert share.role == "bob"
     assert len(share.x_key) == 64 and len(share.y_key) == 64
@@ -110,9 +115,10 @@ def test_sign_verify_honest_roundtrip():
 
     share_b = extract_share(bob, ann)
     share_c = extract_share(charlie, ann)
-    decision_b = verify_as_receiver(bundle, share_b, share_c)
+    assert ann.message_len == len(message)
+    decision_b = verify_as_receiver(bundle, share_b, share_c, len(message))
     assert decision_b.accept, decision_b.reason
-    decision_c = verify_as_receiver(bundle, share_c, share_b)
+    decision_c = verify_as_receiver(bundle, share_c, share_b, len(message))
     assert decision_c.accept, decision_c.reason
 
 
@@ -123,18 +129,36 @@ def test_verify_rejects_tampered_message():
                              p_a=bundle.p_a)
     share_b = extract_share(bob, ann)
     share_c = extract_share(charlie, ann)
-    decision = verify_as_receiver(forged, share_b, share_c)
+    decision = verify_as_receiver(forged, share_b, share_c, ann.message_len)
     assert not decision.accept
     assert "mismatch" in decision.reason
+
+
+def test_verify_rejects_a_rewritten_announced_length():
+    # the honest bundle against an announcement whose message length
+    # field was rewritten on the wire
+    alice, bob, charlie = synthetic_stores(2000, seed=60)
+    (ann, bundle), _ = alice_sign(alice, b"pay 10", 64, 6, 7)
+    share_b = extract_share(bob, ann)
+    share_c = extract_share(charlie, ann)
+    frame = ann.encode()
+    for wrong in (ann.message_len - 1, ann.message_len + 5):
+        payload = frame.payload[:4] + wrong.to_bytes(4, "big") \
+            + frame.payload[8:]
+        rewritten = parse_payload(Frame(frame.msg_type, payload))
+        decision = verify_as_receiver(bundle, share_c, share_b,
+                                      rewritten.message_len)
+        assert not decision.accept
+        assert decision.reason.startswith("malformed-bundle: ")
 
 
 def test_verify_rejects_malformed_share_lengths():
     alice, bob, charlie = synthetic_stores(2000, seed=45)
     (ann, bundle), _ = alice_sign(alice, b"msg", 64, 4, 5)
     share_b = extract_share(bob, ann)
-    short = PositionAnnouncement(positions=tuple(range(64)))
+    short = PositionAnnouncement(tuple(range(64)), 3)
     share_c = extract_share(charlie, short)
-    decision = verify_as_receiver(bundle, share_b, share_c)
+    decision = verify_as_receiver(bundle, share_b, share_c, 3)
     assert not decision.accept
     assert "malformed" in decision.reason
 
@@ -199,6 +223,25 @@ def test_messaging_tamper_detected():
     assert "malicious" in outcome.bob_reason
     assert outcome.charlie_decision == "reject"
     assert "mismatch" in outcome.charlie_reason
+
+
+@pytest.mark.parametrize("zeros", [1, 5, 64])
+def test_messaging_zero_prefix_forgery_rejected(zeros):
+    # a forging Bob puts zero bytes in front of the document: the digest
+    # is unchanged, so Charlie rejects on the announced length alone
+    alice, bob, charlie = synthetic_stores(4000, seed=61)
+    parties, transcripts = connect_parties(alice, bob, charlie)
+
+    def prefix(bundle):
+        return replace(bundle, message=bytes(zeros) + bundle.message)
+
+    outcome = run_messaging(parties, b"honest document",
+                            signature_len_bits=64, position_seed=27,
+                            p_seed=28, tamper=prefix, transcripts=transcripts)
+    assert outcome.status == "ok"
+    assert outcome.bob_decision == "accept"        # the liar reports accept
+    assert outcome.charlie_decision == "reject"
+    assert outcome.charlie_reason.startswith("malformed-bundle: ")
 
 
 def test_messaging_forward_precedes_charlie_share():
@@ -328,7 +371,8 @@ def test_messaging_abort_on_announced_position_out_of_range(monkeypatch):
 
     def out_of_range(store, *args):
         (ann, bundle), frames = sign_round(store, *args)
-        far = PositionAnnouncement(ann.positions[:-1] + (len(store.key_bits),))
+        far = replace(ann, positions=ann.positions[:-1]
+                      + (len(store.key_bits),))
         return (far, bundle), [(dst, far.encode()) for dst, _ in frames[:2]] \
             + frames[2:]
 

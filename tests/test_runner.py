@@ -1,9 +1,12 @@
+import functools
 import json
 
 import pytest
 
+from qdsnet import protocol, runner
 from qdsnet.channel import ChannelModel
 from qdsnet.finitekey import IntensityConfig, SecurityTargets
+from qdsnet.protocol import SignatureBundle
 from qdsnet.runner import (LinkConfig, RunConfig, RunError, outcome_to_json,
                            run_simulation)
 
@@ -19,7 +22,7 @@ def _small_config(**kw):
     defaults = dict(link_bob=link(11), link_charlie=link(22),
                     targets=SecurityTargets(eps_sf=1e-10, eps_cor=1e-10,
                                             eps_target=1e-7),
-                    message_path="unused.bin", protocol_seed=7)
+                    protocol_seed=7)
     defaults.update(kw)
     return RunConfig(**defaults)
 
@@ -27,9 +30,22 @@ def _small_config(**kw):
 MESSAGE = bytes(range(256)) * 4
 
 
+def _flip_first_byte(bundle: SignatureBundle) -> SignatureBundle:
+    altered = bytearray(bundle.message)
+    altered[0] ^= 0x01
+    return SignatureBundle(bundle.sig, bytes(altered), bundle.p_a)
+
+
+def forging_bob(monkeypatch):
+    """Make the runner's Bob a forger: he forwards the bundle with its
+    first byte flipped and reports "accept" without checking anything."""
+    monkeypatch.setattr(runner, "run_messaging", functools.partial(
+        protocol.run_messaging, tamper=_flip_first_byte))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
-        RunConfig.from_dict({"links": {"bob": {}}, "message_path": "x"})
+        RunConfig.from_dict({"links": {"bob": {}}})
 
 
 def test_run_is_deterministic():
@@ -41,12 +57,10 @@ def test_run_is_deterministic():
 
 def test_outcome_structure_and_decisions():
     out = run_simulation(_small_config(), message=MESSAGE)
-    assert out["status"] == "ok"
     assert out["decisions"] == {"bob": "accept", "charlie": "accept"}
     assert out["eps"] <= 1e-7
     assert out["signature_len_bits"] % 8 == 0
     assert out["message_len_bits"] == 8 * len(MESSAGE)
-    assert not out["tampered"]
     for name in ("bob", "charlie"):
         link = out["links"][name]
         assert link["n_z"] > 0
@@ -57,10 +71,9 @@ def test_outcome_structure_and_decisions():
     assert out["transcripts"]
 
 
-def test_tamper_flag_flips_charlie():
-    out = run_simulation(_small_config(tamper=True), message=MESSAGE)
-    assert out["status"] == "ok"
-    assert out["tampered"]
+def test_tamper_flag_flips_charlie(monkeypatch):
+    forging_bob(monkeypatch)
+    out = run_simulation(_small_config(), message=MESSAGE)
     assert out["decisions"]["bob"] == "accept"    # the liar's claim
     assert out["decisions"]["charlie"] == "reject"
     assert "mismatch" in out["reasons"]["charlie"]
@@ -110,7 +123,6 @@ def test_outcome_json_stable_shape():
     out = run_simulation(_small_config(), message=MESSAGE)
     text = outcome_to_json(out)
     parsed = json.loads(text)
-    assert set(parsed) == {"status", "decisions", "reasons",
-                           "signature_len_bits", "eps",
-                           "signature_rate_tps", "message_len_bits",
-                           "tampered", "links", "transcripts"}
+    assert set(parsed) == {"decisions", "reasons", "signature_len_bits",
+                           "eps", "signature_rate_tps", "message_len_bits",
+                           "links", "transcripts"}
