@@ -5,28 +5,33 @@ reference role (Bob or Charlie) holds the authoritative key and answers
 parity queries; the corrector role (Alice) locates errors by comparing
 block parities and binary-searching mismatched blocks, flipping her own
 bits.  Both parties derive each pass's shuffle from the shared seed, so
-no permutation ever crosses the wire.  A process-level memo of the last
-two draws, returned read-only, lets both roles of an in-process session
-share each draw: the corrector opens pass p just before the reference
-first answers on it.  Neither role does I/O: the reference maps each
-request frame to its reply, the corrector is a generator that yields
-requests and is sent the replies, and reconcile() drives both from the
-calling thread over a frame channel.
+no permutation ever crosses the wire.  A process-level memo of the
+latest draw, returned read-only, lets both roles of an in-process
+session share each draw: the corrector opens pass p just before the
+reference first answers on it.  Neither role does I/O: the reference
+maps each request frame to its reply, the corrector is a generator that
+yields requests and is sent the replies, and reconcile() drives both
+from the calling thread over a frame channel.
 
 Each chunk runs MIN_PASSES passes, then more while the latest found
 errors, up to MAX_TOTAL_PASSES; later passes reshuffle with larger
 blocks.  The corrector keeps a mismatch flag per block of every pass.
 Each flip toggles the flag of the block holding that position in every
 pass, re-queueing blocks whose parity now mismatches (cross-pass error
-back-propagation).  Mismatched blocks of one pass are binary-searched in
-lockstep as lo/hi arrays, one batched request of (chunk, pass, lo, hi)
-rows per depth level, which keeps round-trips logarithmic while leaving
-the per-bit disclosure count identical to sequential search.  Prefix
+back-propagation).  Per chunk bit, an open pass keeps its shuffle in the
+narrowest unsigned type that indexes the chunk (4 bytes up to 2^32
+bits) and the block of each position in the narrowest one that counts
+its blocks (1 or 2 bytes at the usual block sizes); the reference keeps
+one prefix-parity bit per position and pass, and the memo one 8-byte
+draw.  Mismatched blocks of one pass are binary-searched in lockstep as
+lo/hi arrays, one batched request of (chunk, pass, lo, hi) rows per
+depth level, which keeps round-trips logarithmic while leaving the
+per-bit disclosure count identical to sequential search.  Prefix
 parities P with P[0] = 0 give [lo, hi) the parity P[hi] ^ P[lo]; the
-reference keeps them over each whole shuffled chunk, while the corrector
-builds them per search from the mismatched blocks alone, one row per
-block, so a late pass with a few open blocks touches a few thousand bits
-rather than the whole chunk.
+reference keeps them bit-packed over each whole shuffled chunk, while
+the corrector builds them per search from the mismatched blocks alone,
+one row per block, so a late pass with a few open blocks touches a few
+thousand bits rather than the whole chunk.
 
 Verification exchanges a short universal-hash tag: a polynomial
 evaluation hash over GF(2^64) keyed by the shared seed, followed by a
@@ -187,11 +192,12 @@ def _hash_tag(key_bits: np.ndarray, eps_cor: float, seed: int
 
 # --- shared permutation derivation -----------------------------------------
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _pass_permutation(seed: int, chunk: int, pass_id: int, m: int) -> np.ndarray:
-    """The read-only shuffle of one (chunk, pass).  The last two draws
-    are kept, so a reference answering in the corrector's process
-    reuses the draw the corrector has just made for the same pass."""
+    """The read-only int64 shuffle of one (chunk, pass).  Only the
+    latest draw is kept: a reference answering in the corrector's
+    process first asks about a pass right after the corrector draws it,
+    and reuses that draw."""
     rng = np.random.default_rng(np.random.SeedSequence(seed,
                                                        spawn_key=(chunk, pass_id)))
     perm = rng.permutation(m)
@@ -211,6 +217,11 @@ def _prefix_parities(bits: np.ndarray) -> np.ndarray:
     return prefix
 
 
+def _packed_bits_at(packed: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Bits i of a np.packbits array, big-endian within each byte."""
+    return (packed[i >> 3] >> (7 - (i & 7))) & 1
+
+
 # --- party roles ------------------------------------------------------------
 
 class ReferenceRole:
@@ -225,6 +236,7 @@ class ReferenceRole:
         self.key = np.asarray(key_bits, dtype=np.uint8).copy()
         self.cfg = cfg
         self._bounds = _chunk_bounds(len(self.key), cfg.round_key_len)
+        # bit-packed prefix parities of each (chunk, pass) answered on
         self._prefix_cache: dict[tuple[int, int], np.ndarray] = {}
         self.leakage = 0
         self.verified = False
@@ -235,7 +247,7 @@ class ReferenceRole:
         if cached is None:
             start, end = self._bounds[chunk]
             perm = _pass_permutation(self.cfg.seed, chunk, pass_id, end - start)
-            cached = _prefix_parities(self.key[start:end][perm])
+            cached = np.packbits(_prefix_parities(self.key[start:end][perm]))
             self._prefix_cache[(chunk, pass_id)] = cached
         return cached
 
@@ -266,7 +278,8 @@ class ReferenceRole:
         for j, (chunk, pass_id) in enumerate(pairs):
             rows = pair_of == j
             prefix = self._prefix(chunk, pass_id)
-            bits[rows] = prefix[hi[rows]] ^ prefix[lo[rows]]
+            bits[rows] = (_packed_bits_at(prefix, hi[rows])
+                          ^ _packed_bits_at(prefix, lo[rows]))
         return bits
 
     def answer(self, frame: Frame) -> Frame:
@@ -343,8 +356,8 @@ class CorrectorRole:
 
         rel = perm[lo]
         key_chunk[rel] ^= 1
-        for _, inv, k_r, mismatch_r in passes:
-            np.logical_xor.at(mismatch_r, inv[rel] // k_r, True)
+        for _, block_r, _, mismatch_r in passes:
+            np.logical_xor.at(mismatch_r, block_r[rel], True)
         return len(rel)
 
     def _run_chunk(self, chunk_idx: int, start: int, end: int):
@@ -352,7 +365,8 @@ class CorrectorRole:
         if m == 0:
             return 0
         key_chunk = self.key[start:end]
-        passes = []  # per pass: (perm, inverse, k, block mismatch flags)
+        # per pass: (perm, block of each position, k, block mismatch flags)
+        passes = []
         found_pass1 = chunk_flips = 0
         while True:
             pass_id = len(passes) + 1
@@ -366,14 +380,19 @@ class CorrectorRole:
                 k = 2 * passes[-1][2]
             k = max(1, min(k, m))
 
+            # the int64 draw serves the two gathers that open the pass;
+            # the pass keeps it narrowed
             perm = _pass_permutation(self.cfg.seed, chunk_idx, pass_id, m)
             starts = np.arange(0, m, k)
             ref_par = yield from self._ask(chunk_idx, pass_id, starts,
                                            np.minimum(starts + k, m))
             own = np.bitwise_xor.reduceat(key_chunk[perm], starts)
-            inv = np.empty_like(perm)
-            inv[perm] = np.arange(m)
-            passes.append((perm, inv, k, own != ref_par))
+            n_blocks = len(starts)
+            block = np.empty(m, dtype=np.min_scalar_type(n_blocks - 1))
+            block[perm] = np.repeat(np.arange(n_blocks, dtype=block.dtype),
+                                    k)[:m]
+            passes.append((perm.astype(np.min_scalar_type(m - 1)), block, k,
+                           own != ref_par))
 
             flips = 0
             while pending := [r for r, p in enumerate(passes) if p[3].any()]:

@@ -35,9 +35,11 @@ import numpy as np
 from . import files
 from .finitekey import (AnalysisError, InsufficientDataError,
                         min_signature_length, require_object)
+from .framing import unpack_bits
 from .protocol import (KeyExhaustedError, KeyReuseError, KeyShare, KeyStore,
                        PositionAnnouncement, SignatureBundle, alice_sign,
-                       extract_share, verify_as_receiver)
+                       extract_share, free_positions, hash_seed_bits,
+                       verify_as_receiver)
 from .runner import RunConfig, RunError, outcome_to_json, run_simulation
 from .table2 import format_report, reproduce_table, row_inputs
 
@@ -160,6 +162,14 @@ def _one_time(seed: int | None) -> int:
     return secrets.randbits(64) if seed is None else seed
 
 
+def _hash_seed(p_seed: int | None, L: int) -> np.ndarray:
+    """The L bits of the one-time hash seed: replayed from p_seed, or
+    all L drawn fresh when it is omitted."""
+    if p_seed is not None:
+        return hash_seed_bits(p_seed, L)
+    return unpack_bits(secrets.token_bytes(L // 8), L)
+
+
 def cmd_sign(args) -> int:
     for flag, seed in (("--position-seed", args.position_seed),
                        ("--p-seed", args.p_seed)):
@@ -175,9 +185,11 @@ def cmd_sign(args) -> int:
             held.enter_context(files.store_lock(args.store))
             store = files.read_store(args.store)
         with reading("--length"):
+            # a length the store cannot sign draws no seed bits
+            free_positions(store, args.length)
             (ann, bundle), _ = alice_sign(
                 store, message, args.length, _one_time(args.position_seed),
-                _one_time(args.p_seed))
+                _hash_seed(args.p_seed, args.length))
         # consumption becomes durable before anything reveals the positions
         files.write_store(store, args.store)
     files.write_message(bundle, args.out)

@@ -117,10 +117,9 @@ def run_distribution(link_b, link_c) -> tuple[KeyStore, KeyStore, KeyStore]:
     return alice, bob, charlie
 
 
-def select_positions(store: KeyStore, signature_len_bits: int, seed,
-                     message_len: int) -> PositionAnnouncement:
-    """Sample 2L unused positions from Alice's store and consume them;
-    the announcement binds them to a message of message_len bytes."""
+def free_positions(store: KeyStore, signature_len_bits: int) -> np.ndarray:
+    """The unused positions of store, once a signature of L bits is
+    known to be a whole number of bytes that they can pay for twice."""
     L = signature_len_bits
     if L % 8 or L < 8:
         raise ValueError("signature length must be a multiple of 8 bits")
@@ -128,6 +127,15 @@ def select_positions(store: KeyStore, signature_len_bits: int, seed,
     if len(free) < 2 * L:
         raise KeyExhaustedError(
             f"{store.owner}: need {2 * L} fresh bits, have {len(free)}")
+    return free
+
+
+def select_positions(store: KeyStore, signature_len_bits: int, seed,
+                     message_len: int) -> PositionAnnouncement:
+    """Sample 2L unused positions from Alice's store and consume them;
+    the announcement binds them to a message of message_len bytes."""
+    L = signature_len_bits
+    free = free_positions(store, L)
     rng = np.random.default_rng(seed)
     picked = rng.choice(free, size=2 * L, replace=False)
     store.consume(picked)
@@ -142,17 +150,23 @@ def extract_share(store: KeyStore, announcement: PositionAnnouncement
     return KeyShare(bits[:L], bits[L:], store.owner)
 
 
-def sign(message: bytes, x_a, y_a, p_seed) -> SignatureBundle:
-    """Mask the digest with X_a and the one-time hash seed with Y_a."""
+def hash_seed_bits(p_seed: int, signature_len_bits: int) -> np.ndarray:
+    """The L bits of a one-time hash seed replayed from p_seed."""
+    rng = np.random.default_rng(p_seed)
+    return rng.integers(0, 2, signature_len_bits, dtype=np.uint8)
+
+
+def sign(message: bytes, x_a, y_a, p_bits) -> SignatureBundle:
+    """Mask the digest under the L-bit one-time hash seed p_bits with
+    X_a, and the seed with Y_a."""
     x = _as_bits(x_a)
     y = _as_bits(y_a)
+    p_bits = _as_bits(p_bits)
     L = len(x)
-    if len(y) != L:
-        raise ValueError("x_a and y_a must have equal length")
+    if len(y) != L or len(p_bits) != L:
+        raise ValueError("x_a, y_a and p_bits must have equal length")
     if L % 8 or L < 8:
         raise ValueError("signature length must be a multiple of 8 bits")
-    rng = np.random.default_rng(p_seed)
-    p_bits = rng.integers(0, 2, L, dtype=np.uint8)
     dig = unpack_bits(hash_document(message, pack_bits(p_bits)), L)
     return SignatureBundle(sig=dig ^ x, message=bytes(message),
                            p_a=p_bits ^ y)
@@ -242,14 +256,15 @@ def _expect(peer: str, msg_type: MsgType, out: list = ()):
 
 
 def alice_sign(store: KeyStore, message: bytes, L: int, position_seed,
-               p_seed):
-    """Signer: announces the positions to both receivers, signs to Bob.
-    Takes no frames; returns ((announcement, bundle), the pairs to send)."""
+               p_bits):
+    """Signer: announces the positions to both receivers, signs to Bob
+    under the L-bit hash seed p_bits.  Takes no frames; returns
+    ((announcement, bundle), the pairs to send)."""
     if not message:     # before any key position is spent
         raise ValueError("cannot sign an empty message")
     ann = select_positions(store, L, position_seed, len(message))
     bits = store.key_bits[list(ann.positions)]
-    bundle = sign(message, bits[:L], bits[L:], p_seed)
+    bundle = sign(message, bits[:L], bits[L:], p_bits)
     announce = ann.encode()
     return (ann, bundle), [(ROLE_BOB, announce), (ROLE_CHARLIE, announce),
                            (ROLE_BOB, bundle.encode())]
@@ -322,7 +337,7 @@ def run_messaging(parties: dict, message: bytes, *,
     try:
         results[ROLE_ALICE], out = alice_sign(
             parties[ROLE_ALICE].store, message, signature_len_bits,
-            position_seed, p_seed)
+            position_seed, hash_seed_bits(p_seed, signature_len_bits))
         queue.extend((ROLE_ALICE, dst, frame) for dst, frame in out)
         for who in scripts:
             step(who, None)

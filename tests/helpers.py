@@ -477,8 +477,8 @@ class FullPrefixCorrector(CorrectorRole):
 
         rel = perm[lo]
         key_chunk[rel] ^= 1
-        for _, inv, k_r, mismatch_r in passes:
-            np.logical_xor.at(mismatch_r, inv[rel] // k_r, True)
+        for _, block_r, _, mismatch_r in passes:
+            np.logical_xor.at(mismatch_r, block_r[rel], True)
         return len(rel)
 
 

@@ -147,12 +147,13 @@ def test_criterion_3a_tampering_trials(capsys):
 
 def test_criterion_3b_random_key_forgeries(capsys):
     from qdsnet.protocol import (SignatureBundle, alice_sign, extract_share,
-                                 verify_as_receiver)
+                                 hash_seed_bits, verify_as_receiver)
 
     L = 64
     alice, bob, charlie = synthetic_stores(4000, seed=77)
     message = b"the honest document, 32 bytes..."
-    (ann, bundle), _ = alice_sign(alice, message, L, 1, 2)
+    (ann, bundle), _ = alice_sign(alice, message, L, 1,
+                                  hash_seed_bits(2, L))
     share_b = extract_share(bob, ann)
     share_c = extract_share(charlie, ann)
     assert verify_as_receiver(bundle, share_c, share_b, ann.message_len).accept
@@ -178,7 +179,7 @@ def test_criterion_3c_exhaustive_byte_perturbation(capsys):
     from qdsnet.divhash import derive_modulus, hash_document
     from qdsnet.framing import pack_bits
     from qdsnet.protocol import (SignatureBundle, alice_sign, extract_share,
-                                 verify_as_receiver)
+                                 hash_seed_bits, verify_as_receiver)
 
     L = 16
     n_bytes = 64
@@ -230,7 +231,8 @@ def test_criterion_3c_exhaustive_byte_perturbation(capsys):
     zero_led = np.concatenate([np.zeros(3, np.uint8), message[3:]])
     for signed, round_seeds in ((message, (3, 4)), (zero_led, (5, 6))):
         (ann, bundle), _ = alice_sign(alice, signed.tobytes(), L,
-                                      *round_seeds)
+                                      round_seeds[0],
+                                      hash_seed_bits(round_seeds[1], L))
         share_b = extract_share(bob, ann)
         share_c = extract_share(charlie, ann)
         mutations = []

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from qdsnet.cascade import (MAX_TOTAL_PASSES, CorrectorRole,
                             InconsistentParitiesError, ReconciliationConfig,
                             ReferenceRole, _hash_tag, _pass_permutation,
-                            block_length, reconcile, tag_bit_count)
+                            _prefix_parities, block_length, reconcile,
+                            tag_bit_count)
 from qdsnet.finitekey import binary_entropy
 from qdsnet.framing import (FrameError, ParityAnswer, ParityRequest,
                             TagExchange, VerifyDecision, parse_payload)
@@ -311,6 +313,67 @@ def test_array_answer_matches_per_item_reference(session):
         assert bits.tolist() == want
         assert ref.leakage == leaked + len(want)
         assert set(ref._prefix_cache) == opened
+
+
+# chunks of lengths that are no multiple of 8, so the packed prefix of
+# m + 1 bits ends inside a byte, and a short last chunk
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), step=st.integers(1, 100).filter(lambda s: s % 8),
+       seed=st.integers(0, 2**32 - 1), hostile=st.integers(0, 3))
+@example(n=203, step=50, seed=1, hostile=0)
+@example(n=7, step=7, seed=2, hostile=3)
+def test_packed_prefix_answers_match_unpacked_prefix(n, step, seed, hostile):
+    rng = np.random.default_rng(seed)
+    key = rng.integers(0, 2, n, dtype=np.uint8)
+    ref = ReferenceRole(key, ReconciliationConfig(round_key_len=step,
+                                                  seed=seed))
+    bounds = [(s, min(s + step, n)) for s in range(0, n, step)]
+
+    # a hostile row fails the first request before any prefix is built
+    chunk = int(rng.integers(len(bounds)))
+    m = bounds[chunk][1] - bounds[chunk][0]
+    row = [(chunk, 1, 0, m + 1), (len(bounds), 1, 0, 1), (chunk, 1, m, m),
+           (chunk, 2, 0, 1)][hostile]
+    with pytest.raises(FrameError):
+        ref.answer(_request((chunk, 1, 0, m), row))
+    assert ref._prefix_cache == {}
+
+    for pass_id in range(1, 4):
+        rows, prefixes = [], {}
+        for chunk, (start, end) in enumerate(bounds):
+            m = end - start
+            perm = np.random.default_rng(np.random.SeedSequence(
+                seed, spawn_key=(chunk, pass_id))).permutation(m)
+            prefixes[chunk] = _prefix_parities(key[start:end][perm])
+            lo = int(rng.integers(m))
+            hi = int(rng.integers(lo + 1, m + 1))
+            rows += [(chunk, pass_id, 0, m), (chunk, pass_id, lo, hi),
+                     (chunk, pass_id, lo, m), (chunk, pass_id, 0, hi)]
+        bits = parse_payload(ref.answer(_request(*rows))).bits
+        want = [prefixes[c][hi] ^ prefixes[c][lo] for c, _, lo, hi in rows]
+        assert bits.tolist() == want
+        for chunk, prefix in prefixes.items():
+            packed = ref._prefix_cache[chunk, pass_id]
+            assert np.array_equal(
+                np.unpackbits(packed, count=len(prefix)), prefix)
+
+
+def test_reconcile_memory_budget():
+    # an open pass keeps a narrowed shuffle and a block index per bit,
+    # and the reference one packed prefix bit; with an int64 shuffle and
+    # inverse per pass and a byte per prefix, this peaked at 61 B per bit
+    n = 200_000
+    noisy, ref = _pair(n, n // 100, seed=43)
+    cfg = ReconciliationConfig(round_key_len=n, seed=15)
+    _pass_permutation.cache_clear()
+    tracemalloc.start()
+    try:
+        cor, srv = reconcile(noisy, ref, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cor.verified and srv.verified
+    assert peak <= 40 * n
 
 
 # 4096 bits are one block of 64 words; the other lengths end inside a

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import secrets
 import subprocess
 import sys
 import time
@@ -17,7 +18,7 @@ from qdsnet.files import (read_message, read_store, store_lock,
                           write_message, write_store)
 from qdsnet.framing import encode_frame
 from qdsnet.protocol import (PositionAnnouncement, SignatureBundle,
-                             alice_sign, select_positions)
+                             alice_sign, hash_seed_bits, select_positions)
 from qdsnet.runner import RunConfig, outcome_to_json, run_simulation
 
 GOLDEN = str(pkg_files("qdsnet.data") / "table2_100km_AC.json")
@@ -382,9 +383,38 @@ def test_sign_writes_the_frames_alice_sign_sends(workdir):
     store = read_store("k/alice.store")
     assert main([*SIGN, "--p-seed", "4"]) == EXIT_OK
     _, ((_, announce), _, (_, bundle)) = alice_sign(
-        store, (workdir / "doc.bin").read_bytes(), 64, 3, 4)
+        store, (workdir / "doc.bin").read_bytes(), 64, 3,
+        hash_seed_bits(4, 64))
     assert (workdir / "b.bin").read_bytes() == encode_frame(bundle)
     assert (workdir / "a.bin").read_bytes() == encode_frame(announce)
+
+
+def test_sign_draws_every_hash_seed_bit(workdir, monkeypatch):
+    # P was once a 64-bit integer stretched to L bits: 64 bits of entropy
+    _keys_and_doc(workdir)
+    store = (workdir / "k/alice.store").read_bytes()
+    drawn = []
+    token_bytes = secrets.token_bytes
+
+    def recording(n):
+        drawn.append(n)
+        return token_bytes(n)
+
+    monkeypatch.setattr(secrets, "token_bytes", recording)
+    assert main(SIGN) == EXIT_OK
+    assert drawn == [64 // 8]
+    # a length the store cannot sign is refused before P is drawn
+    for length, code in (("60", EXIT_PARSE), ("4096", EXIT_KEY_EXHAUSTED)):
+        args = [*SIGN]
+        args[args.index("--length") + 1] = length
+        assert main(args) == code
+    bundles = []
+    for _ in range(2):
+        (workdir / "k/alice.store").write_bytes(store)
+        assert main([*SIGN, "--p-seed", "4"]) == EXIT_OK
+        bundles.append((workdir / "b.bin").read_bytes())
+    assert drawn == [8]
+    assert bundles[0] == bundles[1]
 
 
 @pytest.mark.parametrize("flag", ["--position-seed", "--p-seed"])

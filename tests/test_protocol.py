@@ -9,8 +9,9 @@ from qdsnet.framing import Frame, parse_payload
 from qdsnet.protocol import (DistributionError, KeyExhaustedError, KeyReuseError,
                              KeyStore, PositionAnnouncement, SignatureBundle,
                              VerifyDecision, alice_sign, connect_parties,
-                             extract_share, run_distribution, run_messaging,
-                             select_positions, verify_as_receiver)
+                             extract_share, hash_seed_bits, run_distribution,
+                             run_messaging, select_positions,
+                             verify_as_receiver)
 
 from helpers import synthetic_stores
 
@@ -109,7 +110,7 @@ def test_extract_share_is_one_time():
 def test_sign_verify_honest_roundtrip():
     alice, bob, charlie = synthetic_stores(2000, seed=43)
     message = b"transfer 100 units to account 7"
-    (ann, bundle), _ = alice_sign(alice, message, 64, 1, 9)
+    (ann, bundle), _ = alice_sign(alice, message, 64, 1, hash_seed_bits(9, 64))
     assert bundle.message == message
     assert bundle.signature_len_bits == 64
 
@@ -124,7 +125,8 @@ def test_sign_verify_honest_roundtrip():
 
 def test_verify_rejects_tampered_message():
     alice, bob, charlie = synthetic_stores(2000, seed=44)
-    (ann, bundle), _ = alice_sign(alice, b"pay 10", 64, 2, 3)
+    (ann, bundle), _ = alice_sign(alice, b"pay 10", 64, 2,
+                                  hash_seed_bits(3, 64))
     forged = SignatureBundle(sig=bundle.sig, message=b"pay 99",
                              p_a=bundle.p_a)
     share_b = extract_share(bob, ann)
@@ -138,7 +140,8 @@ def test_verify_rejects_a_rewritten_announced_length():
     # the honest bundle against an announcement whose message length
     # field was rewritten on the wire
     alice, bob, charlie = synthetic_stores(2000, seed=60)
-    (ann, bundle), _ = alice_sign(alice, b"pay 10", 64, 6, 7)
+    (ann, bundle), _ = alice_sign(alice, b"pay 10", 64, 6,
+                                  hash_seed_bits(7, 64))
     share_b = extract_share(bob, ann)
     share_c = extract_share(charlie, ann)
     frame = ann.encode()
@@ -154,7 +157,8 @@ def test_verify_rejects_a_rewritten_announced_length():
 
 def test_verify_rejects_malformed_share_lengths():
     alice, bob, charlie = synthetic_stores(2000, seed=45)
-    (ann, bundle), _ = alice_sign(alice, b"msg", 64, 4, 5)
+    (ann, bundle), _ = alice_sign(alice, b"msg", 64, 4,
+                                  hash_seed_bits(5, 64))
     share_b = extract_share(bob, ann)
     short = PositionAnnouncement(tuple(range(64)), 3)
     share_c = extract_share(charlie, short)
@@ -166,7 +170,7 @@ def test_verify_rejects_malformed_share_lengths():
 def test_sign_rejects_empty_message():
     alice, _, _ = synthetic_stores(500, seed=46)
     with pytest.raises(ValueError):
-        alice_sign(alice, b"", 64, 0, 0)
+        alice_sign(alice, b"", 64, 0, hash_seed_bits(0, 64))
 
 
 @pytest.mark.parametrize("transport", ["inproc", "socket"])
